@@ -103,8 +103,17 @@ def constant(array, dtype=None) -> Tensor:
     return Tensor(np.asarray(array, dtype=dtype))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 2 and b.data.ndim == 2:
+def matmul(a: Tensor, b: Tensor, transpose_b=False) -> Tensor:
+    """a @ b, or a @ b.T for two matrices when ``transpose_b``."""
+    if transpose_b:
+        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+            raise ShapeError(f"matmul {a.shape} @ {b.shape}.T")
+        out = a.data @ b.data.T
+
+        def bw(g):
+            return g @ b.data, g.T @ a.data
+
+    elif a.data.ndim == 2 and b.data.ndim == 2:
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul {a.shape} @ {b.shape}")
         out = a.data @ b.data
@@ -200,47 +209,76 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), bw, "relu")
 
 
-def softmax(x: Tensor) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got {x.shape}")
-    shifted = x.data - x.data.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
+def _row_mask(x, mask, what):
+    """``mask`` as a boolean array of x's shape whose every row admits at
+    least one entry."""
+    m = np.asarray(mask, dtype=bool)
+    if x.data.ndim not in (1, 2) or m.shape != x.shape:
+        raise ShapeError(f"{what} {x.shape} with mask {m.shape}")
+    if not m.any(axis=-1).all():
+        raise ShapeError(f"{what} with an all-false mask row")
+    return m
+
+
+def softmax(x: Tensor, mask=None) -> Tensor:
+    """Softmax of a vector, or of each row of a matrix. Entries outside
+    ``mask`` get probability 0 and no gradient."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax expects a vector or matrix, got {x.shape}")
+    xm = x.data
+    if mask is not None:
+        xm = np.where(_row_mask(x, mask, "softmax"), xm, -np.inf)
+    e = np.exp(xm - xm.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        return (p * (g - float(g @ p)),)
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
     return _make(p, (x,), bw, "softmax")
 
 
 def masked_log_softmax(x: Tensor, mask) -> Tensor:
-    """Log-softmax restricted to ``mask``; masked entries come out -inf."""
-    m = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 1 or m.shape != x.shape:
-        raise ShapeError(f"masked_log_softmax {x.shape} with mask {m.shape}")
-    if not m.any():
-        raise ShapeError("masked_log_softmax with an all-false mask")
-    vals = x.data[m]
-    mx = vals.max()
-    e = np.exp(vals - mx)
-    z = e.sum()
-    logp = np.full(x.shape, -np.inf, dtype=x.dtype)
-    logp[m] = (vals - mx) - np.log(z)
+    """Log-softmax of a vector, or of each row of a matrix, restricted to
+    ``mask``; masked entries come out -inf."""
+    m = _row_mask(x, mask, "masked_log_softmax")
+    xm = np.where(m, x.data, -np.inf)
+    shifted = xm - xm.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(z)
     pm = e / z
 
     def bw(g):
-        gm = g[m]
-        gx = np.zeros_like(x.data)
-        gx[m] = gm - pm * gm.sum()
-        return (gx,)
+        gm = np.where(m, g, 0.0)
+        return (gm - pm * gm.sum(axis=-1, keepdims=True),)
 
     _check_finite(logp[m], "masked_log_softmax")
     return Tensor(logp, parents=(x,), backward_fn=bw)
 
 
-def pick(x: Tensor, index: int) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError(f"pick expects a vector, got {x.shape}")
+def pick(x: Tensor, index) -> Tensor:
+    """One entry of a vector, or one entry per row of a matrix (``index``
+    then lists a column per row) as a vector."""
+    if x.data.ndim == 1:
+        at = index
+    elif x.data.ndim == 2 and len(index) == x.shape[0]:
+        at = (np.arange(x.shape[0]), np.asarray(index, dtype=np.int64))
+    else:
+        raise ShapeError(f"pick {x.shape} at {index!r}")
+    out = x.data[at]
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        gx[at] = g
+        return (gx,)
+
+    return _make(out, (x,), bw, "pick")
+
+
+def row(x: Tensor, index: int) -> Tensor:
+    """One row of a matrix as a vector."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"row expects a matrix, got {x.shape}")
     out = x.data[index]
 
     def bw(g):
@@ -248,7 +286,19 @@ def pick(x: Tensor, index: int) -> Tensor:
         gx[index] = g
         return (gx,)
 
-    return _make(out, (x,), bw, "pick")
+    return _make(out, (x,), bw, "row")
+
+
+def tile_rows(x: Tensor, n: int) -> Tensor:
+    """An (n, d) matrix whose every row is the vector x."""
+    if x.data.ndim != 1:
+        raise ShapeError(f"tile_rows expects a vector, got {x.shape}")
+    out = np.repeat(x.data[None, :], n, axis=0)
+
+    def bw(g):
+        return (g.sum(axis=0),)
+
+    return _make(out, (x,), bw, "tile_rows")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -324,6 +374,34 @@ def max_over_rows(x: Tensor) -> Tensor:
     return _make(out, (x,), bw, "max_over_rows")
 
 
+def _check_segments(lengths, n):
+    """Lengths of consecutive non-empty segments must add up to n rows."""
+    if not len(lengths) or min(lengths) < 1 or sum(lengths) != n:
+        raise ShapeError(f"segment lengths {list(lengths)} do not tile {n} rows")
+
+
+def segment_max(x: Tensor, lengths) -> Tensor:
+    """Column-wise max of each segment of a packed matrix: row t of the
+    result pools rows sum(lengths[:t]) .. sum(lengths[:t+1]) - 1."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_max expects a matrix, got {x.shape}")
+    _check_segments(lengths, x.shape[0])
+    starts = [0]
+    for length in lengths[:-1]:
+        starts.append(starts[-1] + length)
+    out = np.maximum.reduceat(x.data, starts, axis=0)
+
+    def bw(g):
+        gx = np.zeros_like(x.data)
+        cols = np.arange(x.shape[1])
+        for t, (start, length) in enumerate(zip(starts, lengths)):
+            rows = start + x.data[start:start + length].argmax(axis=0)
+            gx[rows, cols] = g[t]
+        return (gx,)
+
+    return _make(out, (x,), bw, "segment_max")
+
+
 def dropout(x: Tensor, rate: float, rng, train: bool) -> Tensor:
     """Inverted dropout: identity at inference, scaled mask in training."""
     if not 0.0 <= rate < 1.0:
@@ -347,21 +425,37 @@ def window_offsets(k: int):
     return list(range(lo, lo + k))
 
 
-def stack_window(x: Tensor, k: int) -> Tensor:
+def stack_window(x: Tensor, k: int, lengths=None) -> Tensor:
     """Row i becomes the concatenation of rows i+o over the window offsets,
-    zero-padded outside the sequence."""
+    zero-padded outside the sequence.
+
+    With ``lengths``, x packs consecutive sequences of those lengths, and
+    a window never reads across a boundary between them: each sequence
+    gets the same rows as it would alone.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"stack_window expects a matrix, got {x.shape}")
     n, d = x.shape
     offs = window_offsets(k)
+    cross = None  # (n, k): window slots that would read another sequence
+    if lengths is not None and len(lengths) > 1:
+        _check_segments(lengths, n)
+        seg = np.repeat(np.arange(len(lengths)), lengths)
+        src = np.clip(np.arange(n)[:, None] + np.array(offs), 0, n - 1)
+        cross = seg[src] != seg[:, None]
     out = np.zeros((n, k * d), dtype=x.dtype)
     for j, o in enumerate(offs):
         src_lo, src_hi = max(0, o), min(n, n + o)
         dst_lo, dst_hi = max(0, -o), min(n, n - o)
         if src_hi > src_lo:
             out[dst_lo:dst_hi, j * d:(j + 1) * d] = x.data[src_lo:src_hi]
+    if cross is not None:
+        out.reshape(n, k, d)[cross] = 0.0
 
     def bw(g):
+        if cross is not None:
+            g = g.copy()
+            g.reshape(n, k, d)[cross] = 0.0
         gx = np.zeros_like(x.data)
         for j, o in enumerate(offs):
             src_lo, src_hi = max(0, o), min(n, n + o)

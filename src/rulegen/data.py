@@ -64,7 +64,10 @@ def ast_from_doc(doc: dict) -> AstNode:
             raise DatasetError(f"terminal node {name!r} with children")
         return AstNode(Symbol(name, TERMINAL), doc["terminal"])
     sym = Symbol(name, NONTERMINAL, doc.get("node_class", STRUCTURAL))
-    children = tuple(ast_from_doc(c) for c in doc.get("children", []))
+    children = doc.get("children", [])
+    if not isinstance(children, list):
+        raise DatasetError(f"children of {name!r} must be a list")
+    children = tuple(ast_from_doc(c) for c in children)
     return AstNode(sym, None, children, doc.get("scope"))
 
 
@@ -78,12 +81,31 @@ def example_to_line(ex: Example) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _slots_from_doc(docs) -> list:
+    """(name, value) pairs from a record's list of slot objects."""
+    if not isinstance(docs, list):
+        raise DatasetError("'slots' must be a list of objects")
+    slots = []
+    for i, doc in enumerate(docs):
+        if not isinstance(doc, dict):
+            raise DatasetError(f"slot {i} is not an object")
+        for key in ("name", "value"):
+            if not isinstance(doc.get(key), str):
+                raise DatasetError(f"slot {i} needs a string {key!r}")
+        slots.append((doc["name"], doc["value"]))
+    return slots
+
+
 def example_from_line(line: str) -> Example:
     doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise DatasetError("record must be a JSON object")
     for key in ("id", "description", "ast"):
         if key not in doc:
             raise DatasetError(f"record missing {key!r}")
-    slots = [(s["name"], s["value"]) for s in doc.get("slots", [])]
+    if not isinstance(doc["description"], str):
+        raise DatasetError("'description' must be a string")
+    slots = _slots_from_doc(doc.get("slots", []))
     names = [n for n, _ in slots]
     if len(set(names)) != len(names):
         raise DatasetError(f"record {doc['id']!r} has duplicate slot names")

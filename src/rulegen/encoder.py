@@ -5,21 +5,16 @@ The stack follows the layer recurrence
     y_i(l) = ReLU(c(l) * y_i(l-2) + W(l) [window of y(l-1) at i])
 with c(l) = 1 on even layers and 0 on odd layers, zero padding at the
 sequence boundaries, and layer 0 the input embeddings. The shortcut is
-position-aligned; flip SHORTCUT_SHIFT to reproduce the off-by-one
-variant.
+position-aligned.
 """
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 
 from . import autodiff as ad
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
-
-# 0 keeps the residual at position i; -1 would read position i-1.
-SHORTCUT_SHIFT = 0
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 
@@ -28,17 +23,6 @@ def tokenize(description: str) -> list:
     """Lowercase, punctuation to spaces, split on whitespace runs."""
     toks = description.lower().translate(_PUNCT_TABLE).split()
     return toks if toks else [PAD_TOKEN]
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    layers: int = 21
-    window: int = 2
-    dim: int = 128
-
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("layer count must be >= 1")
 
 
 class TokenVocab:
@@ -88,30 +72,21 @@ class TokenVocab:
         return cls(lines[2:])
 
 
-def shortcut_cnn(store, prefix, y0, layers, window, collect=False):
+def shortcut_cnn(store, prefix, y0, layers, window, collect=False,
+                 lengths=None):
     """Run the shortcut CNN stack over embedded positions.
 
     ``store[prefix + "conv{l}"]`` holds W(l) of shape (window*d, d).
+    With ``lengths``, y0 packs consecutive sequences of those lengths and
+    each is convolved as if alone (the convolutions have no bias, so a
+    boundary pads with zeros like the ends of a sequence do).
     Returns the top layer, or every layer output when ``collect``.
     """
     outs = [y0]
     for layer in range(1, layers + 1):
-        z = ad.matmul(ad.stack_window(outs[-1], window),
+        z = ad.matmul(ad.stack_window(outs[-1], window, lengths),
                       store[f"{prefix}conv{layer}"])
         if layer % 2 == 0:
-            skip = outs[layer - 2]
-            if SHORTCUT_SHIFT:
-                skip = _shift_rows(skip, SHORTCUT_SHIFT)
-            z = ad.add(skip, z)
+            z = ad.add(outs[layer - 2], z)
         outs.append(ad.relu(z))
     return outs if collect else outs[-1]
-
-
-def _shift_rows(x, shift):
-    # Only needed for the off-by-one shortcut variant.
-    import numpy as np
-
-    n = x.shape[0]
-    idx = np.clip(np.arange(n) + shift, 0, n - 1)
-    keep = ((np.arange(n) + shift) >= 0) & ((np.arange(n) + shift) < n)
-    return ad.row_scale(ad.gather_rows(x, idx), keep.astype(x.dtype))

@@ -92,10 +92,14 @@ def check_model(model: Model, loss_builder, samples_per_tensor=0,
     return report
 
 
+def tiny_corpus(seed):
+    """Three examples that reach every head and the copy path."""
+    return synth_corpus(num_ops=2, max_depth=1, count=3, seed=seed)
+
+
 def build_tiny_model(config: RunConfig):
     """Tiny corpus + model that exercises every head and the copy path."""
-    examples = synth_corpus(num_ops=2, max_depth=1, count=3,
-                            seed=config.seed)
+    examples = tiny_corpus(config.seed)
     grammar = induce_grammar([ex.ast for ex in examples])
     token_vocab, terminals, slot_names = vocabs_from_examples(examples)
     model = Model(grammar, config, token_vocab, terminals, slot_names,
@@ -180,4 +184,25 @@ def run_op_checks(seed=0) -> dict:
         lambda a: ad.pick(ad.masked_log_softmax(
             a, np.array([True, False, True, True, False])), 2), [(5,)], rng,
         scalarize=lambda t: t)
+    # packed-sequence forms: one row or segment per decoder state
+    report["matmul_nt"] = _fd_input_check(
+        lambda a, b: ad.matmul(a, b, transpose_b=True), [(3, 4), (2, 4)], rng)
+    v = ad.Tensor(rng.standard_normal(4))
+    report["softmax_rows"] = _fd_input_check(
+        lambda a: ad.matmul(ad.softmax(a, np.array(
+            [[True, False, True, True], [False, True, True, False]])), v),
+        [(2, 4)], rng)
+    report["stack_window_segments"] = _fd_input_check(
+        lambda a: ad.stack_window(a, 3, [2, 1, 3]), [(6, 2)], rng)
+    report["segment_max"] = _fd_input_check(
+        lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)], rng)
+    report["tile_rows"] = _fd_input_check(
+        lambda a: ad.tile_rows(a, 3), [(4,)], rng)
+    report["row"] = _fd_input_check(lambda a: ad.row(a, 1), [(3, 4)], rng)
+    report["pick_rows"] = _fd_input_check(
+        lambda a: ad.pick(a, [2, 0, 2]), [(3, 4)], rng)
+    report["masked_log_softmax_rows"] = _fd_input_check(
+        lambda a: ad.pick(ad.masked_log_softmax(
+            a, np.array([[True, False, True], [False, True, True]])),
+            [2, 1]), [(2, 3)], rng)
     return report

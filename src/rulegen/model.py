@@ -40,7 +40,6 @@ from .grammar import (
     VARIABLE,
     copy_terminal_symbol,
     grammar_to_json,
-    valid_rule_mask,
 )
 from .params import ParamStore, embedding_init, load_params, save_params, xavier_uniform
 
@@ -90,12 +89,30 @@ def advance(state: DecoderState, target: int, grammar: Grammar) -> DecoderState:
     return DecoderState(state.rule_trace + (target,), ast, state.slots)
 
 
-def attentive_pool(candidates, controller, weight):
+def _segment_mask(lengths):
+    """(T, N) mask whose row t admits the rows of segment t of a matrix
+    that packs T segments of these lengths."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return seg[None, :] == np.arange(len(lengths))[:, None]
+
+
+def attentive_pool(candidates, controller, weight, lengths=None):
     """Softmax-weighted sum of rows; weights from the bilinear logits
-    y_i^T W c. A zero controller degenerates to the unweighted mean."""
-    logits = ad.matmul(ad.matmul(candidates, weight), controller)
-    alpha = ad.softmax(logits)
-    return ad.matmul(alpha, candidates)
+    y_i^T W c. A zero controller degenerates to the unweighted mean.
+
+    A vector controller pools every candidate into one vector. A (T, d)
+    controller pools once per row into a (T, d) matrix: row t over
+    segment t of the packed candidates when ``lengths`` is given, over
+    all candidates otherwise.
+    """
+    keys = ad.matmul(candidates, weight)
+    if controller.data.ndim == 1:
+        return ad.matmul(ad.softmax(ad.matmul(keys, controller)), candidates)
+    mask = None
+    if lengths is not None and len(lengths) > 1:
+        mask = _segment_mask(lengths)
+    logits = ad.matmul(controller, keys, transpose_b=True)
+    return ad.matmul(ad.softmax(logits, mask), candidates)
 
 
 def grammar_hash(grammar: Grammar) -> str:
@@ -229,23 +246,26 @@ class Model:
         feats = shortcut_cnn(self.store, "enc/", y0, cfg.layers, cfg.window)
         return feats, ad.max_over_rows(feats)
 
-    def _zero_vec(self):
-        return ad.constant(np.zeros(self.config.dim, dtype=self.dtype))
+    def _scope_controller(self, states):
+        """Controller B, one row per state: the embedding of the nearest
+        enclosing scope name, or zeros where there is none."""
+        n = len(states)
+        rows = [None] * n
+        if not self.config.no_scope:
+            rows = [self.scope_index.get(s.scope()) for s in states]
+        if all(r is None for r in rows):
+            return ad.constant(np.zeros((n, self.config.dim), dtype=self.dtype))
+        emb = ad.embedding(self.store["emb/scope"],
+                           [0 if r is None else r for r in rows])
+        if any(r is None for r in rows):
+            emb = ad.row_scale(emb, [r is not None for r in rows])
+        return emb
 
-    def _scope_controller(self, state: DecoderState):
-        if self.config.no_scope:
-            return self._zero_vec(), True
-        scope = state.scope()
-        if scope is None or scope not in self.scope_index:
-            return self._zero_vec(), True
-        row = ad.embedding(self.store["emb/scope"],
-                           [self.scope_index[scope]])
-        return _row(row), False
-
-    def _pool(self, feats, controller, weight_name):
+    def _pool(self, feats, lengths, controller, weight_name):
         if self.config.attention_to_maxpool:
-            return ad.max_over_rows(feats)
-        return attentive_pool(feats, controller, self.store[weight_name])
+            return ad.segment_max(feats, lengths)
+        return attentive_pool(feats, controller, self.store[weight_name],
+                              lengths)
 
     def _node_inputs(self, nodes):
         sym_idx, term_idx, is_term = [], [], []
@@ -268,13 +288,26 @@ class Model:
         return ad.add(ad.row_scale(sym_rows, 1.0 - keep),
                       ad.row_scale(term_rows, keep))
 
-    def ast_features(self, state: DecoderState, head: str):
-        """Tree-conv outputs per augmented node plus the traversal index."""
+    # Every extractor below packs the rows of all its states into one
+    # matrix, state after state, and returns the per-state row counts
+    # with it, so that one pass covers every state.
+
+    def ast_features(self, states, head: str):
+        """Tree-conv outputs per augmented node, their per-state counts,
+        and each state's traversal as (packed node index, flag) pairs."""
         cfg = self.config
-        nodes, parents, grands, units = augmented_view(state.partial_ast)
+        nodes, parents, grands, units, lengths = [], [], [], [], []
+        for state in states:
+            n_s, p_s, g_s, u_s = augmented_view(state.partial_ast)
+            base = len(nodes)
+            nodes += n_s
+            parents += [p + base if p >= 0 else -1 for p in p_s]
+            grands += [p + base if p >= 0 else -1 for p in g_s]
+            units.append([(i + base, f) for i, f in u_s])
+            lengths.append(len(n_s))
         x = self._node_inputs(nodes)
         if cfg.no_tree_conv:
-            return x, units
+            return x, lengths, units
         n = len(nodes)
         pad_row = ad.embedding(self.store["emb/symbol"], [self.pad_index])
         xp = ad.concat([x, pad_row], axis=0)
@@ -284,94 +317,160 @@ class Model:
                              ad.gather_rows(xp, par),
                              ad.gather_rows(xp, gpa)], axis=1)
         y_ast = ad.relu(ad.matmul(triples, self.store[f"{head}/ast_w"]))
-        return y_ast, units
+        return y_ast, lengths, units
 
-    def preorder_features(self, y_ast, units, head: str):
+    def preorder_features(self, y_ast, node_lengths, units, head: str):
+        """Pre-order CNN over each state's traversal; without it, the
+        tree-conv rows stand in."""
         cfg = self.config
         if cfg.no_preorder_cnn:
-            return y_ast
-        node_idx = [i for i, _ in units]
-        flags = [f for _, f in units]
+            return y_ast, node_lengths
+        node_idx = [i for us in units for i, _ in us]
+        flags = [f for us in units for _, f in us]
+        lengths = [len(us) for us in units]
         u0 = ad.matmul(
             ad.concat([ad.gather_rows(y_ast, node_idx),
                        ad.embedding(self.store["emb/flag"], flags)], axis=1),
             self.store[f"{head}/pre_proj"])
-        return shortcut_cnn(self.store, f"{head}/pre/", u0,
-                            cfg.layers, cfg.window)
+        return shortcut_cnn(self.store, f"{head}/pre/", u0, cfg.layers,
+                            cfg.window, lengths=lengths), lengths
 
-    def rule_features(self, state: DecoderState, head: str):
-        idx = [t if t < self.grammar.num_rules else self.rule_copy
-               for t in state.rule_trace]
-        if not idx:
-            idx = [self.rule_pad]
+    def rule_features(self, states, head: str):
+        """Rule CNN over each state's predicted rules (one pad row for an
+        empty trace)."""
+        r = self.grammar.num_rules
+        idx, lengths = [], []
+        for state in states:
+            trace = [t if t < r else self.rule_copy
+                     for t in state.rule_trace] or [self.rule_pad]
+            idx += trace
+            lengths.append(len(trace))
         y0 = ad.embedding(self.store["emb/rule"], idx)
-        return shortcut_cnn(self.store, f"{head}/rule/", y0,
-                            self.config.layers, self.config.window)
+        return shortcut_cnn(self.store, f"{head}/rule/", y0, self.config.layers,
+                            self.config.window, lengths=lengths), lengths
 
-    def path_features(self, state: DecoderState, head: str):
-        idx = [self.sym_index[n.symbol.name]
-               for n in root_path(state.partial_ast)]
+    def path_features(self, states, head: str):
+        """Tree-path CNN over each state's root-to-frontier chain."""
+        idx, lengths = [], []
+        for state in states:
+            path = root_path(state.partial_ast)
+            idx += [self.sym_index[n.symbol.name] for n in path]
+            lengths.append(len(path))
         y0 = ad.embedding(self.store["emb/symbol"], idx)
-        return shortcut_cnn(self.store, f"{head}/path/", y0,
-                            self.config.layers, self.config.window)
+        return shortcut_cnn(self.store, f"{head}/path/", y0, self.config.layers,
+                            self.config.window, lengths=lengths), lengths
 
-    def aggregate(self, state: DecoderState, enc_feats, enc_controller,
-                  head: str):
+    def aggregate(self, states, enc_feats, enc_controller, head: str):
+        """Pooled features in AGGREGATE_ORDER: a vector for one state, one
+        row per state for a sequence of states."""
         cfg = self.config
-        ctrl_a = enc_controller
-        ctrl_b, _ = self._scope_controller(state)
-        y_ast, units = self.ast_features(state, head)
-        feats_pre = self.preorder_features(y_ast, units, head)
+        single = isinstance(states, DecoderState)
+        batch = [states] if single else list(states)
+        # controller A is the encoder max-pool, and so also max(encoder)
+        ctrl_a = ad.tile_rows(enc_controller, len(batch))
+        ctrl_b = self._scope_controller(batch)
+        y_ast, node_lengths, units = self.ast_features(batch, head)
+        feats_pre, pre_lengths = self.preorder_features(y_ast, node_lengths,
+                                                        units, head)
         parts = []
         if not cfg.no_rule_cnn:
-            parts.append(self._pool(self.rule_features(state, head),
+            parts.append(self._pool(*self.rule_features(batch, head),
                                     ctrl_a, f"{head}/att_rule"))
         if not cfg.no_treepath_cnn:
-            parts.append(self._pool(self.path_features(state, head),
+            parts.append(self._pool(*self.path_features(batch, head),
                                     ctrl_a, f"{head}/att_path"))
-        parts.append(self._pool(feats_pre, ctrl_b, f"{head}/att_pre"))
-        parts.append(self._pool(enc_feats, ctrl_b, f"{head}/att_enc"))
-        parts.append(ad.max_over_rows(enc_feats))
-        parts.append(ad.max_over_rows(feats_pre))
+        parts.append(self._pool(feats_pre, pre_lengths, ctrl_b,
+                                f"{head}/att_pre"))
+        if cfg.attention_to_maxpool:
+            parts.append(ctrl_a)
+        else:
+            parts.append(attentive_pool(enc_feats, ctrl_b,
+                                        self.store[f"{head}/att_enc"]))
+        parts.append(ctrl_a)
+        parts.append(ad.segment_max(feats_pre, pre_lengths))
         if cfg.extra_treeconv_pool:
-            parts.append(self._pool(y_ast, ctrl_b, f"{head}/att_ast"))
-        return ad.concat(parts, axis=0)
+            parts.append(self._pool(y_ast, node_lengths, ctrl_b,
+                                    f"{head}/att_ast"))
+        agg = ad.concat(parts, axis=1)
+        return ad.row(agg, 0) if single else agg
 
-    def predict(self, state: DecoderState, enc_feats, enc_controller,
-                train=False, rng=None):
-        """Masked log-probabilities over rules (+ copy targets for the
-        variable head); entries invalid for the frontier are -inf."""
+    def _head_logits(self, states, enc_feats, enc_controller, head, width,
+                     train, rng):
+        """(len(states), width) logits of one head: the rules, then one
+        copy target per slot (zeros outside the copy head)."""
         cfg = self.config
-        frontier = state.partial_ast.frontier
-        if frontier is None:
-            raise DeadEndError("predict on a complete tree")
-        head = self.head_for(frontier.symbol.node_class)
-        agg = self.aggregate(state, enc_feats, enc_controller, head)
+        agg = self.aggregate(states, enc_feats, enc_controller, head)
         x = ad.dropout(agg, cfg.dropout, rng, train)
-        h = ad.relu(ad.add(ad.matmul(self.store[f"{head}/mlp_w1"], x),
+        h = ad.relu(ad.add(ad.matmul(x, self.store[f"{head}/mlp_w1"],
+                                     transpose_b=True),
                            self.store[f"{head}/mlp_b1"]))
         h = ad.dropout(h, cfg.dropout, rng, train)
-        logits = ad.add(ad.matmul(self.store[f"{head}/mlp_w2"], h),
+        logits = ad.add(ad.matmul(h, self.store[f"{head}/mlp_w2"],
+                                  transpose_b=True),
                         self.store[f"{head}/mlp_b2"])
-
-        rule_ids = self.grammar.lhs_index.get(frontier.symbol.name, ())
-        mask = np.zeros(self.grammar.num_rules, dtype=bool)
-        mask[list(rule_ids)] = True
-
-        use_copy = (not cfg.no_copy
-                    and frontier.symbol.node_class == VARIABLE
-                    and state.slots)
-        if use_copy:
+        copies = width - self.grammar.num_rules
+        if not copies:
+            return logits
+        if head == self._copy_head():
             slot_idx = [self.slot_index.get(n, self.slot_unk)
-                        for n, _ in state.slots]
+                        for n, _ in states[0].slots]
             slot_rows = ad.embedding(self.store["emb/slot"], slot_idx)
             carrier = ad.matmul(h, self.store[f"{head}/copy_w"])
-            copy_logits = ad.matmul(slot_rows, carrier)
-            logits = ad.concat([logits, copy_logits], axis=0)
-            mask = np.concatenate([mask, np.ones(len(state.slots), dtype=bool)])
-        if not mask.any():
-            raise DeadEndError(
-                f"no valid rule or copy target for {frontier.symbol.name!r}")
+            copy = ad.matmul(carrier, slot_rows, transpose_b=True)
+        else:
+            copy = ad.constant(np.zeros((len(states), copies),
+                                        dtype=self.dtype))
+        return ad.concat([logits, copy], axis=1)
+
+    def predict(self, states, enc_feats, enc_controller, train=False,
+                rng=None):
+        """Masked log-probabilities over rules (+ copy targets for the
+        variable head); entries invalid for the frontier are -inf.
+
+        ``states`` is one DecoderState, which gives a vector, or a
+        sequence of states with the same slots, which gives one row per
+        state; the copy columns are there when any state's frontier can
+        copy. States are grouped by head, in the fixed head order, and
+        each group runs every extractor once over its packed rows. In
+        training, dropout masks are drawn group by group: the aggregate
+        mask for all states of a group (one row per state, in the given
+        order), then its hidden-layer mask.
+        """
+        cfg = self.config
+        single = isinstance(states, DecoderState)
+        batch = [states] if single else list(states)
+        frontiers = [s.partial_ast.frontier for s in batch]
+        if any(f is None for f in frontiers):
+            raise DeadEndError("predict on a complete tree")
+        slots = batch[0].slots
+        if any(s.slots != slots for s in batch):
+            raise ValueError("states of one predict call must share slots")
+        r = self.grammar.num_rules
+        copy_rows = [not cfg.no_copy and bool(slots)
+                     and f.symbol.node_class == VARIABLE for f in frontiers]
+        width = r + (len(slots) if any(copy_rows) else 0)
+        mask = np.zeros((len(batch), width), dtype=bool)
+        for t, f in enumerate(frontiers):
+            mask[t, list(self.grammar.lhs_index.get(f.symbol.name, ()))] = True
+            mask[t, r:] = copy_rows[t]
+            if not mask[t].any():
+                raise DeadEndError(
+                    f"no valid rule or copy target for {f.symbol.name!r}")
+
+        heads = [self.head_for(f.symbol.node_class) for f in frontiers]
+        blocks, order = [], []
+        for head in self.heads:
+            rows = [t for t, h in enumerate(heads) if h == head]
+            if rows:
+                blocks.append(self._head_logits(
+                    [batch[t] for t in rows], enc_feats, enc_controller,
+                    head, width, train, rng))
+                order += rows
+        logits = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=0)
+        if order != sorted(order):
+            logits = ad.gather_rows(logits, np.argsort(order))
+        if single:
+            return ad.masked_log_softmax(ad.row(logits, 0), mask[0])
         return ad.masked_log_softmax(logits, mask)
 
     # -- persistence ------------------------------------------------------
@@ -404,12 +503,6 @@ class Model:
         vocab = TokenVocab(extras["token_vocab"][2:])
         return cls(grammar, config, vocab, extras["terminal_vocab"],
                    extras["slot_name_vocab"], dtype=dtype, store=store)
-
-
-def _row(matrix_tensor):
-    """First row of a (1, d) tensor as a vector."""
-    return ad.Tensor(matrix_tensor.data[0], parents=(matrix_tensor,),
-                     backward_fn=lambda g: (g[None, :],))
 
 
 def vocabs_from_examples(examples):

@@ -1,10 +1,12 @@
 """Teacher-forced training over gold rule sequences, plus evaluation.
 
 Each example contributes the sum of per-step cross-entropies along its
-gold derivation; gradients accumulate over a window of examples before
-one Adam update. The L2 penalty on the fully connected weights is added
-once per window. All randomness (parameter init, dropout, shuffling)
-flows from the run seed.
+gold derivation, scored by one packed forward pass over all of its gold
+states; gradients accumulate over a window of examples before one Adam
+update. The L2 penalty on the fully connected weights is added once per
+window. All randomness (parameter init, dropout, shuffling) flows from
+the run seed. With a dev set, the returned model is the best-dev one,
+the same that is saved as the checkpoint.
 """
 from __future__ import annotations
 
@@ -65,17 +67,19 @@ def derivation_targets(example: Example, grammar: Grammar,
 def example_loss(model: Model, example: Example, targets, train=True,
                  rng=None):
     """Summed negative log-likelihood of the gold targets, plus the
-    per-step count (for mean-loss reporting)."""
+    per-step count (for mean-loss reporting).
+
+    ``advance`` is pure, so every gold state is built first and all of
+    them are scored by one ``predict`` call.
+    """
     cfg = model.config
     enc_feats, ctrl = model.encode(example.description, train=train, rng=rng,
                                    word_dropout=cfg.word_dropout)
-    state = initial_state(model.grammar, example.slots)
-    loss = None
-    for target in targets:
-        logp = model.predict(state, enc_feats, ctrl, train=train, rng=rng)
-        step = ad.scale(ad.pick(logp, target), -1.0)
-        loss = step if loss is None else ad.add(loss, step)
-        state = advance(state, target, model.grammar)
+    states = [initial_state(model.grammar, example.slots)]
+    for target in targets[:-1]:
+        states.append(advance(states[-1], target, model.grammar))
+    logp = model.predict(states, enc_feats, ctrl, train=train, rng=rng)
+    loss = ad.scale(ad.sum_all(ad.pick(logp, targets)), -1.0)
     return loss, len(targets)
 
 
@@ -157,6 +161,7 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
             model.save(os.path.join(out_dir, "checkpoint.bin"))
 
     best_dev = -1.0
+    best_values = None    # parameters of the best-dev model, as saved
     evals_since_best = 0
     pending = 0
     stop = False
@@ -193,6 +198,7 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
                 if dev_acc > best_dev:
                     best_dev = dev_acc
                     evals_since_best = 0
+                    best_values = model.store.clone_values()
                     save_checkpoint()
                 else:
                     evals_since_best += 1
@@ -210,8 +216,11 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
             break
 
     result.best_dev_acc = best_dev
-    if not dev_examples or best_dev < 0:
+    if best_values is None:
         save_checkpoint()
+    else:
+        for name, values in best_values.items():
+            model.store[name].data[...] = values
     if out_dir:
         with open(os.path.join(out_dir, "log.txt"), "w") as f:
             f.write("\n".join(result.log_lines) + "\n")

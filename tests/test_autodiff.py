@@ -228,3 +228,95 @@ def test_gradient_accumulation_is_additive():
     ad.sum_all(x).backward()
     ad.sum_all(x).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
+
+
+# --- packed sequences: one row or segment per decoder state ---------------
+
+segment_lists = st.lists(st.integers(1, 4), min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
+       seed=st.integers(0, 10**6))
+def test_stack_window_segments_match_each_sequence_alone(lengths, m, k, seed):
+    x = np.random.default_rng(seed).standard_normal((sum(lengths), m))
+    packed = ad.stack_window(ad.Tensor(x), k, lengths).data
+    starts = np.cumsum([0] + lengths[:-1])
+    alone = [ad.stack_window(ad.Tensor(x[s:s + n]), k).data
+             for s, n in zip(starts, lengths)]
+    assert np.array_equal(packed, np.concatenate(alone, axis=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
+       seed=st.integers(0, 10**6))
+def test_stack_window_segments_grad(lengths, m, k, seed):
+    check_op(lambda x: ad.stack_window(x, k, lengths),
+             [(sum(lengths), m)], seed)
+
+
+def test_stack_window_rejects_lengths_that_do_not_tile():
+    x = ad.Tensor(np.zeros((4, 2)))
+    for lengths in ([1, 2], [2, 0, 2], [3, 2]):
+        with pytest.raises(ad.ShapeError):
+            ad.stack_window(x, 2, lengths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=segment_lists, m=dims, seed=st.integers(0, 10**6))
+def test_segment_max_matches_max_over_rows(lengths, m, seed):
+    x = np.random.default_rng(seed).standard_normal((sum(lengths), m))
+    got = ad.segment_max(ad.Tensor(x), lengths).data
+    starts = np.cumsum([0] + lengths[:-1])
+    want = [ad.max_over_rows(ad.Tensor(x[s:s + n])).data
+            for s, n in zip(starts, lengths)]
+    assert np.array_equal(got, np.stack(want))
+    check_op(lambda t: ad.segment_max(t, lengths), [(sum(lengths), m)], seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.integers(1, 4), n=st.integers(2, 6), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_masked_softmax_rows_match_vector_softmax(t, n, seed, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((t, n))
+    mask = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        min_size=t, max_size=t)))
+    mask[:, 0] |= ~mask.any(axis=1)
+    p = ad.softmax(ad.Tensor(x), mask).data
+    lp = ad.masked_log_softmax(ad.Tensor(x), mask).data
+    for i in range(t):
+        sub = ad.softmax(ad.Tensor(x[i][mask[i]])).data
+        assert np.allclose(p[i][mask[i]], sub, rtol=1e-12, atol=0)
+        assert np.all(p[i][~mask[i]] == 0.0)
+        one = ad.masked_log_softmax(ad.Tensor(x[i]), mask[i]).data
+        assert np.allclose(lp[i][mask[i]], one[mask[i]], rtol=1e-12, atol=0)
+        assert np.all(np.isneginf(lp[i][~mask[i]]))
+    w = ad.Tensor(rng.standard_normal(n))
+    check_op(lambda a: ad.matmul(ad.softmax(a, mask), w), [(t, n)], seed)
+    targets = [int(np.flatnonzero(r)[0]) for r in mask]
+    check_op(lambda a: ad.pick(ad.masked_log_softmax(a, mask), targets),
+             [(t, n)], seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=dims, m=dims, k=dims, seed=st.integers(0, 10**6))
+def test_matmul_transpose_b_grad(n, m, k, seed):
+    check_op(lambda a, b: ad.matmul(a, b, transpose_b=True),
+             [(n, m), (k, m)], seed)
+
+
+def test_row_tile_and_pick_rows():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 4))
+    assert np.array_equal(ad.row(ad.Tensor(x), 1).data, x[1])
+    assert np.array_equal(ad.pick(ad.Tensor(x), [3, 0, 2]).data,
+                          [x[0, 3], x[1, 0], x[2, 2]])
+    assert np.array_equal(ad.tile_rows(ad.Tensor(x[0]), 2).data,
+                          np.stack([x[0], x[0]]))
+    check_op(lambda a: ad.row(a, 2), [(3, 4)], 5)
+    check_op(lambda a: ad.pick(a, [3, 0, 2]), [(3, 4)], 6)
+    check_op(lambda a: ad.tile_rows(a, 3), [(4,)], 7)
+    with pytest.raises(ad.ShapeError):
+        ad.pick(ad.Tensor(x), [0, 1])

@@ -1,9 +1,12 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import rulegen
 from rulegen.cli import main
 from rulegen.config import RunConfig
 
@@ -78,6 +81,37 @@ def test_extract_grammar_empty_file(tmp_path, capsys):
                        "--out", str(tmp_path / "g.json"))
     assert code == 2
     assert "empty" in err
+
+
+MALFORMED_RECORDS = {
+    "bare_number": "5",
+    "not_an_object": '["id", "description", "ast"]',
+    "slots_not_a_list": {"slots": {"name": "n", "value": "v"}},
+    "slot_not_an_object": {"slots": ["n=v"]},
+    "slot_without_name": {"slots": [{"value": "v"}]},
+    "slot_without_value": {"slots": [{"name": "n"}]},
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(),
+                         ids=MALFORMED_RECORDS.keys())
+def test_extract_grammar_malformed_record(tmp_path, record):
+    if isinstance(record, dict):
+        record = json.dumps(dict({
+            "id": "a", "description": "x",
+            "ast": {"symbol": "S", "children": [
+                {"symbol": "tok", "terminal": "v"}]}}, **record))
+    data = tmp_path / "bad.jsonl"
+    data.write_text(record + "\n")
+    src = os.path.dirname(os.path.dirname(rulegen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rulegen.cli", "extract-grammar",
+         "--data", str(data), "--out", str(tmp_path / "g.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{data}:1:" in proc.stderr
 
 
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):

@@ -127,3 +127,17 @@ def test_training_determinism(tiny, tmp_path):
     assert ra.log_lines == rb.log_lines
     assert (out_a / "checkpoint.bin").read_bytes() == \
         (out_b / "checkpoint.bin").read_bytes()
+
+
+def test_returned_model_is_the_saved_best_dev_model(tiny, tmp_path):
+    exs, g = tiny
+    cfg = RunConfig(dim=8, layers=2, mlp_hidden=8, epochs=4, dropout=0.0,
+                    accumulation_window=1, seed=0, eval_interval=1,
+                    patience=10, max_decode_steps=40)
+    out = tmp_path / "run"
+    result = train(exs, exs[:2], g, cfg, out_dir=str(out))
+    saved = Model.load(str(out / "checkpoint.bin"), g)
+    assert saved.store.names() == result.model.store.names()
+    for name in saved.store.names():
+        assert np.array_equal(result.model.store[name].data,
+                              saved.store[name].data), name
