@@ -90,7 +90,7 @@ class Tensor:
 
 
 def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericFault(f"non-finite values produced by {what}")
 
 
@@ -142,22 +142,6 @@ def matmul(a: Tensor, b: Tensor, transpose_b=False) -> Tensor:
     return _make(out, (a, b), bw, "matmul")
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot {a.shape} . {b.shape}")
-    out = a.data @ b.data
-
-    def bw(g):
-        return g * b.data, g * a.data
-
-    return _make(out, (a, b), bw, "dot")
-
-
-def bilinear(y: Tensor, w: Tensor, c: Tensor) -> Tensor:
-    """y^T W c as a scalar."""
-    return dot(y, matmul(w, c))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         out = a.data + b.data
@@ -200,11 +184,10 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    keep = x.data > 0
-    out = np.where(keep, x.data, 0.0).astype(x.dtype)
+    out = np.maximum(x.data, 0)
 
     def bw(g):
-        return (g * keep,)
+        return (g * (out > 0),)
 
     return _make(out, (x,), bw, "relu")
 
@@ -420,22 +403,27 @@ def dropout(x: Tensor, rate: float, rng, train: bool) -> Tensor:
 
 def window_offsets(k: int):
     """Window offsets per the half-width convention: ceil(-s)..ceil(s)."""
-    s = (k - 1) / 2.0
-    lo = int(np.ceil(-s))
+    lo = -((k - 1) // 2)
     return list(range(lo, lo + k))
 
 
-def stack_window(x: Tensor, k: int, lengths=None) -> Tensor:
-    """Row i becomes the concatenation of rows i+o over the window offsets,
-    zero-padded outside the sequence.
+def window_conv(x: Tensor, w: Tensor, k: int, lengths=None,
+                residual=None) -> Tensor:
+    """One shortcut-CNN layer as one node: relu(window(x) @ w + residual).
 
-    With ``lengths``, x packs consecutive sequences of those lengths, and
-    a window never reads across a boundary between them: each sequence
-    gets the same rows as it would alone.
+    Row i of window(x) concatenates rows i+o of x over the window offsets,
+    with zeros outside the sequence. With ``lengths``, x packs consecutive
+    sequences of those lengths, and a window never reads across a boundary
+    between them: each sequence gets the rows it would get alone.
+    ``residual``, when given, has the shape of the output and is added
+    before the ReLU.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"stack_window expects a matrix, got {x.shape}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or w.shape[0] != k * x.shape[1]:
+        raise ShapeError(f"window_conv {x.shape} with window {k} @ {w.shape}")
     n, d = x.shape
+    if residual is not None and residual.shape != (n, w.shape[1]):
+        raise ShapeError(f"window_conv residual {residual.shape}, "
+                         f"output {(n, w.shape[1])}")
     offs = window_offsets(k)
     cross = None  # (n, k): window slots that would read another sequence
     if lengths is not None and len(lengths) > 1:
@@ -443,25 +431,32 @@ def stack_window(x: Tensor, k: int, lengths=None) -> Tensor:
         seg = np.repeat(np.arange(len(lengths)), lengths)
         src = np.clip(np.arange(n)[:, None] + np.array(offs), 0, n - 1)
         cross = seg[src] != seg[:, None]
-    out = np.zeros((n, k * d), dtype=x.dtype)
-    for j, o in enumerate(offs):
-        src_lo, src_hi = max(0, o), min(n, n + o)
-        dst_lo, dst_hi = max(0, -o), min(n, n - o)
-        if src_hi > src_lo:
-            out[dst_lo:dst_hi, j * d:(j + 1) * d] = x.data[src_lo:src_hi]
+    # (column block, source rows, destination rows) per window offset that
+    # reads inside the sequence
+    blocks = [(slice(j * d, (j + 1) * d), slice(max(0, o), n + min(0, o)),
+               slice(max(0, -o), n - max(0, o)))
+              for j, o in enumerate(offs) if abs(o) < n]
+    win = np.zeros((n, k * d), dtype=x.dtype)
+    for cols, src_rows, dst_rows in blocks:
+        win[dst_rows, cols] = x.data[src_rows]
     if cross is not None:
-        out.reshape(n, k, d)[cross] = 0.0
+        win.reshape(n, k, d)[cross] = 0.0
+    z = win @ w.data
+    if residual is not None:
+        z += residual.data
+    _check_finite(z, "window_conv")
+    out = np.maximum(z, 0, out=z)
 
     def bw(g):
+        gz = g * (out > 0)
+        gwin = gz @ w.data.T
         if cross is not None:
-            g = g.copy()
-            g.reshape(n, k, d)[cross] = 0.0
+            gwin.reshape(n, k, d)[cross] = 0.0
         gx = np.zeros_like(x.data)
-        for j, o in enumerate(offs):
-            src_lo, src_hi = max(0, o), min(n, n + o)
-            dst_lo, dst_hi = max(0, -o), min(n, n - o)
-            if src_hi > src_lo:
-                gx[src_lo:src_hi] += g[dst_lo:dst_hi, j * d:(j + 1) * d]
-        return (gx,)
+        for cols, src_rows, dst_rows in blocks:
+            gx[src_rows] += gwin[dst_rows, cols]
+        grads = (gx, win.T @ gz)
+        return grads if residual is None else grads + (gz,)
 
-    return _make(out, (x,), bw, "stack_window")
+    parents = (x, w) if residual is None else (x, w, residual)
+    return Tensor(out, parents=parents, backward_fn=bw)

@@ -78,7 +78,8 @@ def _load_model(args, grammar):
     try:
         return Model.load(args.checkpoint, grammar)
     except CheckpointError as e:
-        raise CliError(str(e), EXIT_VALIDATION)
+        raise CliError(f"invalid checkpoint {args.checkpoint}: {e}",
+                       EXIT_VALIDATION)
 
 
 def cmd_extract_grammar(args):

@@ -19,6 +19,7 @@ from .model import DeadEndError, DecoderState, Model, advance, initial_state
 class Hypothesis:
     state: DecoderState
     log_prob: float
+    step_log_probs: tuple = ()  # log p of each rule step; they sum to log_prob
 
     @property
     def complete(self) -> bool:
@@ -57,7 +58,6 @@ def beam_search(model: Model, description: str, slots=(), beam_size=None,
 
     start = Hypothesis(initial_state(grammar, slots), 0.0)
     beam = [start]
-    steps = {(): []}  # trace -> per-step log probs, for reporting
     for _ in range(max_steps):
         if all(h.complete for h in beam):
             break
@@ -75,16 +75,15 @@ def beam_search(model: Model, description: str, slots=(), beam_size=None,
             for idx in order[:beam_size]:
                 if not np.isfinite(lp[idx]):
                     break
-                ns = advance(h.state, int(idx), grammar)
-                candidates.append(Hypothesis(ns, h.log_prob + float(lp[idx])))
-                steps[ns.rule_trace] = steps[h.state.rule_trace] + [float(lp[idx])]
+                step = float(lp[idx])
+                candidates.append(Hypothesis(
+                    advance(h.state, int(idx), grammar), h.log_prob + step,
+                    h.step_log_probs + (step,)))
         if not candidates:
             break
         candidates.sort(key=_sort_key)
         beam = candidates[:beam_size]
-        kept = {h.state.rule_trace for h in beam}
-        steps = {t: v for t, v in steps.items() if t in kept}
 
     complete = sorted((h for h in beam if h.complete), key=_sort_key)
-    top_steps = steps.get(complete[0].state.rule_trace, []) if complete else []
-    return DecodeResult(complete, top_steps)
+    return DecodeResult(complete,
+                        list(complete[0].step_log_probs) if complete else [])

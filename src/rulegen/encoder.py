@@ -84,9 +84,7 @@ def shortcut_cnn(store, prefix, y0, layers, window, collect=False,
     """
     outs = [y0]
     for layer in range(1, layers + 1):
-        z = ad.matmul(ad.stack_window(outs[-1], window, lengths),
-                      store[f"{prefix}conv{layer}"])
-        if layer % 2 == 0:
-            z = ad.add(outs[layer - 2], z)
-        outs.append(ad.relu(z))
+        outs.append(ad.window_conv(
+            outs[-1], store[f"{prefix}conv{layer}"], window, lengths,
+            residual=outs[layer - 2] if layer % 2 == 0 else None))
     return outs if collect else outs[-1]

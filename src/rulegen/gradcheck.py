@@ -158,19 +158,22 @@ def run_op_checks(seed=0) -> dict:
     report["matmul"] = _fd_input_check(ad.matmul, [(3, 4), (4, 2)], rng)
     report["matvec"] = _fd_input_check(ad.matmul, [(3, 4), (4,)], rng)
     report["vecmat"] = _fd_input_check(ad.matmul, [(3,), (3, 4)], rng)
-    report["dot"] = _fd_input_check(ad.dot, [(5,), (5,)], rng)
     report["add"] = _fd_input_check(ad.add, [(3, 4), (3, 4)], rng)
     report["add_bias"] = _fd_input_check(ad.add, [(3, 4), (4,)], rng)
     report["relu"] = _fd_input_check(ad.relu, [(4, 3)], rng)
     # sum of a softmax is constant, so weight the entries before reducing
-    w = ad.Tensor(rng.standard_normal(6))
+    w = ad.Tensor(rng.standard_normal((6, 1)))
     report["softmax"] = _fd_input_check(
-        lambda a: ad.dot(ad.softmax(a), w), [(6,)], rng,
-        scalarize=lambda t: t)
+        lambda a: ad.matmul(ad.softmax(a), w), [(6,)], rng)
     report["concat"] = _fd_input_check(
         lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)], rng)
-    report["stack_window"] = _fd_input_check(
-        lambda a: ad.stack_window(a, 2), [(5, 3)], rng)
+    report["window_conv"] = _fd_input_check(
+        lambda a, w: ad.window_conv(a, w, 2), [(5, 3), (6, 2)], rng)
+    report["window_conv_k3"] = _fd_input_check(
+        lambda a, w: ad.window_conv(a, w, 3), [(5, 2), (6, 3)], rng)
+    report["window_conv_residual"] = _fd_input_check(
+        lambda a, w, r: ad.window_conv(a, w, 2, residual=r),
+        [(5, 3), (6, 2), (5, 2)], rng)
     report["max_over_rows"] = _fd_input_check(ad.max_over_rows, [(5, 3)], rng)
     report["sumsq"] = _fd_input_check(ad.sumsq, [(4, 2)], rng)
     report["gather_rows"] = _fd_input_check(
@@ -179,7 +182,6 @@ def run_op_checks(seed=0) -> dict:
         lambda a: ad.embedding(a, [1, 0, 1]), [(3, 4)], rng)
     report["row_scale"] = _fd_input_check(
         lambda a: ad.row_scale(a, np.array([0.5, 2.0, 0.0])), [(3, 4)], rng)
-    report["bilinear"] = _fd_input_check(ad.bilinear, [(4,), (4, 4), (4,)], rng)
     report["masked_log_softmax"] = _fd_input_check(
         lambda a: ad.pick(ad.masked_log_softmax(
             a, np.array([True, False, True, True, False])), 2), [(5,)], rng,
@@ -192,8 +194,11 @@ def run_op_checks(seed=0) -> dict:
         lambda a: ad.matmul(ad.softmax(a, np.array(
             [[True, False, True, True], [False, True, True, False]])), v),
         [(2, 4)], rng)
-    report["stack_window_segments"] = _fd_input_check(
-        lambda a: ad.stack_window(a, 3, [2, 1, 3]), [(6, 2)], rng)
+    report["window_conv_segments"] = _fd_input_check(
+        lambda a, w: ad.window_conv(a, w, 3, [2, 1, 3]), [(6, 2), (6, 3)], rng)
+    report["window_conv_segments_k2_residual"] = _fd_input_check(
+        lambda a, w, r: ad.window_conv(a, w, 2, [2, 1, 3], residual=r),
+        [(6, 2), (4, 2), (6, 2)], rng)
     report["segment_max"] = _fd_input_check(
         lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)], rng)
     report["tile_rows"] = _fd_input_check(

@@ -261,22 +261,55 @@ def grammar_to_json(g: Grammar) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _objects(doc, key):
+    """The list of objects stored under ``key`` in a grammar document."""
+    entries = doc.get(key)
+    if not isinstance(entries, list) or not all(isinstance(e, dict)
+                                                for e in entries):
+        raise GrammarError(f"grammar {key!r} must be a list of objects")
+    return entries
+
+
+def _field(entry, key, where, kind=str):
+    value = entry.get(key)
+    if not isinstance(value, kind):
+        raise GrammarError(f"{where} needs a {kind.__name__} {key!r}")
+    return value
+
+
 def grammar_from_json(text: str) -> Grammar:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise GrammarError("grammar must be a JSON object")
     if doc.get("version") != GRAMMAR_VERSION:
         raise GrammarError(f"unsupported grammar version {doc.get('version')}")
-    symbols = {
-        e["name"]: Symbol(e["name"], e["kind"], e.get("node_class", STRUCTURAL))
-        for e in doc["symbols"]
-    }
-    rules = [
-        GrammarRule(
-            e["id"], symbols[e["lhs"]],
-            tuple(symbols[n] for n in e["rhs"]),
+    symbols = {}
+    for i, e in enumerate(_objects(doc, "symbols")):
+        name = _field(e, "name", f"symbols[{i}]")
+        symbols[name] = Symbol(name, _field(e, "kind", f"symbols[{i}]"),
+                               e.get("node_class", STRUCTURAL))
+
+    def symbol(name, where):
+        if not isinstance(name, str) or name not in symbols:
+            raise GrammarError(f"{where} names unknown symbol {name!r}")
+        return symbols[name]
+
+    rules = []
+    for i, e in enumerate(_objects(doc, "rules")):
+        where = f"rules[{i}]"
+        rules.append(GrammarRule(
+            e.get("id"),  # Grammar checks that the ids are 0, 1, 2, ...
+            symbol(e.get("lhs"), where),
+            tuple(symbol(n, where) for n in _field(e, "rhs", where, list)),
             e.get("terminal"),
-        )
-        for e in doc["rules"]
-    ]
-    start = symbols.get(doc.get("start")) if doc.get("start") else None
+        ))
+    for key in ("scope_vocab", "scope_symbols"):
+        names = doc.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(n, str)
+                                                  for n in names):
+            raise GrammarError(f"grammar {key!r} must be a list of strings")
+    start = doc.get("start")
+    if start is not None:
+        start = symbol(start, "grammar 'start'")
     return Grammar(rules, symbols, doc.get("scope_vocab", ()),
                    doc.get("scope_symbols", ()), start_symbol=start)

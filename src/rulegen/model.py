@@ -32,7 +32,7 @@ from .ast_tree import (
     nearest_scope,
     root_path,
 )
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .encoder import TokenVocab, shortcut_cnn, tokenize
 from .grammar import (
     Grammar,
@@ -494,8 +494,15 @@ class Model:
         from .params import CheckpointError
 
         store, header = load_params(path, dtype=dtype)
-        extras = header.get("extras", {})
-        config = RunConfig(**extras["config"])
+        extras = header.get("extras")
+        fields = ("config", "token_vocab", "terminal_vocab", "slot_name_vocab")
+        if not isinstance(extras, dict) or any(f not in extras for f in fields):
+            raise CheckpointError(
+                f"checkpoint header extras need {', '.join(fields)}")
+        try:
+            config = RunConfig(**extras["config"])
+        except (TypeError, ConfigError) as e:
+            raise CheckpointError(f"checkpoint config: {e}") from e
         if extras.get("config_hash") != config.hash():
             raise CheckpointError("checkpoint config hash mismatch")
         if check_grammar and extras.get("grammar_hash") != grammar_hash(grammar):

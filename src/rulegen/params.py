@@ -127,6 +127,8 @@ def load_params(path, dtype=np.float32):
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')}")
@@ -144,12 +146,24 @@ def load_params(path, dtype=np.float32):
         pos += nbytes
         return arr
 
-    for entry in header["params"]:
+    entries = header.get("params")
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint header has no 'params' list")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(n, int) and n >= 0
+                        for n in entry["shape"])):
+            raise CheckpointError(f"checkpoint header params[{i}] needs a "
+                                  "string 'name' and a list of sizes 'shape'")
+        if entry["name"] in store:
+            raise CheckpointError(
+                f"checkpoint header repeats parameter {entry['name']!r}")
         store.add(entry["name"], take(tuple(entry["shape"])))
     if header.get("optimizer"):
-        for entry in header["params"]:
+        for entry in entries:
             store.moments_m[entry["name"]] = take(tuple(entry["shape"])).astype(store.dtype)
-        for entry in header["params"]:
+        for entry in entries:
             store.moments_v[entry["name"]] = take(tuple(entry["shape"])).astype(store.dtype)
         store.step = int(header.get("adam_step", 0))
     if pos != len(body):

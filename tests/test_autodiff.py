@@ -60,12 +60,6 @@ def test_matvec_grad(n, m, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=dims, seed=st.integers(0, 10**6))
-def test_dot_grad(n, seed):
-    check_op(ad.dot, [(n,), (n,)], seed)
-
-
-@settings(max_examples=25, deadline=None)
 @given(n=dims, m=dims, seed=st.integers(0, 10**6))
 def test_add_and_bias_grad(n, m, seed):
     check_op(ad.add, [(n, m), (n, m)], seed)
@@ -82,14 +76,14 @@ def test_relu_grad(n, m, seed):
 @given(n=st.integers(2, 8), seed=st.integers(0, 10**6))
 def test_softmax_grad(n, seed):
     rng = np.random.default_rng(seed)
-    w = ad.Tensor(rng.standard_normal(n))
-    check_op(lambda x: ad.dot(ad.softmax(x), w), [(n,)], seed)
+    w = ad.Tensor(rng.standard_normal((n, 1)))
+    check_op(lambda x: ad.sum_all(ad.matmul(ad.softmax(x), w)), [(n,)], seed)
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=dims, m=dims, k=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_stack_window_grad(n, m, k, seed):
-    check_op(lambda x: ad.stack_window(x, k), [(n, m)], seed)
+    check_op(lambda x, w: ad.window_conv(x, w, k), [(n, m), (k * m, 3)], seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -105,12 +99,6 @@ def test_embedding_and_gather_grad(rows, m, seed, picks):
     idx = [p % rows for p in picks]
     check_op(lambda t: ad.embedding(t, idx), [(rows, m)], seed)
     check_op(lambda t: ad.gather_rows(t, idx), [(rows, m)], seed + 1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=dims, seed=st.integers(0, 10**6))
-def test_bilinear_grad(n, seed):
-    check_op(ad.bilinear, [(n,), (n, n), (n,)], seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,7 +179,12 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.matmul(a, b)
     with pytest.raises(ad.ShapeError):
-        ad.dot(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(3)))
+        ad.matmul(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(2)))
+    with pytest.raises(ad.ShapeError):
+        ad.window_conv(a, ad.Tensor(np.zeros((5, 2))), 2)
+    with pytest.raises(ad.ShapeError):
+        ad.window_conv(a, ad.Tensor(np.zeros((6, 2))), 2,
+                       residual=ad.Tensor(np.zeros((2, 3))))
 
 
 def test_window_offsets_k2_covers_i_and_next():
@@ -201,7 +194,8 @@ def test_window_offsets_k2_covers_i_and_next():
 
 def test_stack_window_zero_padding():
     x = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.stack_window(x, 2).data
+    # identity weights on non-negative rows: the output is the window itself
+    out = ad.window_conv(x, ad.Tensor(np.eye(4)), 2).data
     # row i = [row i, row i+1]; last row padded with zeros
     assert np.array_equal(out[0], [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(out[1], [3.0, 4.0, 0.0, 0.0])
@@ -235,31 +229,96 @@ def test_gradient_accumulation_is_additive():
 segment_lists = st.lists(st.integers(1, 4), min_size=1, max_size=4)
 
 
+def reference_window(x, k, lengths):
+    """Row i: rows i+o of x for o in window_offsets(k), zero where i+o
+    falls outside the sequence that row i belongs to."""
+    d = x.shape[1]
+    offsets = ad.window_offsets(k)
+    out = np.zeros((x.shape[0], k * d))
+    start = 0
+    for n in lengths:
+        for i in range(n):
+            for j, o in enumerate(offsets):
+                if 0 <= i + o < n:
+                    out[start + i, j * d:(j + 1) * d] = x[start + i + o]
+        start += n
+    return out
+
+
 @settings(max_examples=25, deadline=None)
 @given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
        seed=st.integers(0, 10**6))
 def test_stack_window_segments_match_each_sequence_alone(lengths, m, k, seed):
-    x = np.random.default_rng(seed).standard_normal((sum(lengths), m))
-    packed = ad.stack_window(ad.Tensor(x), k, lengths).data
+    # identity weights on non-negative rows: the output is the window itself
+    x = np.abs(np.random.default_rng(seed).standard_normal((sum(lengths), m)))
+    w = ad.Tensor(np.eye(k * m))
+    packed = ad.window_conv(ad.Tensor(x), w, k, lengths).data
     starts = np.cumsum([0] + lengths[:-1])
-    alone = [ad.stack_window(ad.Tensor(x[s:s + n]), k).data
+    alone = [ad.window_conv(ad.Tensor(x[s:s + n]), w, k).data
              for s, n in zip(starts, lengths)]
     assert np.array_equal(packed, np.concatenate(alone, axis=0))
+    assert np.array_equal(packed, reference_window(x, k, lengths))
 
 
 @settings(max_examples=25, deadline=None)
 @given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
        seed=st.integers(0, 10**6))
 def test_stack_window_segments_grad(lengths, m, k, seed):
-    check_op(lambda x: ad.stack_window(x, k, lengths),
-             [(sum(lengths), m)], seed)
+    n = sum(lengths)
+    check_op(lambda x, w: ad.window_conv(x, w, k, lengths),
+             [(n, m), (k * m, 2)], seed)
+    check_op(lambda x, w, r: ad.window_conv(x, w, k, lengths, residual=r),
+             [(n, m), (k * m, 2), (n, 2)], seed + 1)
 
 
 def test_stack_window_rejects_lengths_that_do_not_tile():
     x = ad.Tensor(np.zeros((4, 2)))
+    w = ad.Tensor(np.zeros((4, 2)))
     for lengths in ([1, 2], [2, 0, 2], [3, 2]):
         with pytest.raises(ad.ShapeError):
-            ad.stack_window(x, 2, lengths)
+            ad.window_conv(x, w, 2, lengths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
+       residual=st.booleans(), seed=st.integers(0, 10**6))
+def test_window_conv_matches_numpy_reference(lengths, m, k, residual, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    x = rng.standard_normal((n, m))
+    w = rng.standard_normal((k * m, 3))
+    r = rng.standard_normal((n, 3)) if residual else None
+    got = ad.window_conv(ad.Tensor(x), ad.Tensor(w), k, lengths,
+                         None if r is None else ad.Tensor(r)).data
+    z = reference_window(x, k, lengths) @ w
+    if r is not None:
+        z = r + z
+    assert np.allclose(got, np.maximum(z, 0.0), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_window_conv_nan_raises_numeric_fault(residual):
+    x = np.ones((3, 2))
+    x[1, 0] = np.nan
+    r = ad.Tensor(np.zeros((3, 2))) if residual else None
+    with pytest.raises(ad.NumericFault):
+        ad.window_conv(ad.Tensor(x), ad.Tensor(np.ones((4, 2))), 2,
+                       residual=r)
+    # a NaN or -Inf arriving through the shortcut raises too, even though
+    # the ReLU would map -Inf to 0
+    if residual:
+        for bad in (np.nan, -np.inf):
+            r = np.zeros((3, 2))
+            r[2, 1] = bad
+            with pytest.raises(ad.NumericFault):
+                ad.window_conv(ad.Tensor(np.ones((3, 2))),
+                               ad.Tensor(np.ones((4, 2))), 2,
+                               residual=ad.Tensor(r))
+
+
+def test_relu_nan_raises_numeric_fault():
+    with pytest.raises(ad.NumericFault):
+        ad.relu(ad.Tensor(np.array([1.0, np.nan, -1.0])))
 
 
 @settings(max_examples=25, deadline=None)

@@ -103,15 +103,59 @@ def test_extract_grammar_malformed_record(tmp_path, record):
                 {"symbol": "tok", "terminal": "v"}]}}, **record))
     data = tmp_path / "bad.jsonl"
     data.write_text(record + "\n")
+    stderr = cli_rejects("extract-grammar", "--data", data,
+                         "--out", tmp_path / "g.json")
+    assert f"{data}:1:" in stderr
+
+
+def cli_rejects(*argv):
+    """Run the CLI in a fresh interpreter; it must exit 2 without a
+    traceback. Returns its stderr."""
     src = os.path.dirname(os.path.dirname(rulegen.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "rulegen.cli", "extract-grammar",
-         "--data", str(data), "--out", str(tmp_path / "g.json")],
+        [sys.executable, "-m", "rulegen.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert f"{data}:1:" in proc.stderr
+    return proc.stderr
+
+
+MALFORMED_GRAMMARS = {
+    "without_symbols": '{"version": 1, "rules": []}',
+    "not_an_object": '[{"version": 1}]',
+}
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+@pytest.mark.parametrize("text", MALFORMED_GRAMMARS.values(),
+                         ids=MALFORMED_GRAMMARS.keys())
+def test_malformed_grammar_exits_2(workdir, tmp_path, command, text):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(text)
+    if command == "train":
+        argv = ["--data", workdir / "data" / "train.jsonl",
+                "--config", workdir / "config.json",
+                "--out-dir", tmp_path / "out"]
+    else:
+        argv = ["--checkpoint", workdir / "run" / "checkpoint.bin",
+                "--input", "whatever"]
+    stderr = cli_rejects(command, "--grammar", grammar, *argv)
+    assert str(grammar) in stderr
+
+
+def test_checkpoint_entry_without_shape_exits_2(workdir, tmp_path):
+    raw = (workdir / "run" / "checkpoint.bin").read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    del header["params"][0]["shape"]
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(json.dumps(header).encode() + raw[nl:])
+    stderr = cli_rejects("generate", "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever")
+    assert str(bad) in stderr
+    assert "shape" in stderr
 
 
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):

@@ -141,3 +141,28 @@ def test_failure_reported_when_nothing_completes(six_examples,
     result = beam_search(model, "init v a", [("arg", "a")])
     assert result.failed
     assert result.hypotheses == []
+
+
+def test_step_log_probs_sum_to_each_hypothesis_score(six_examples,
+                                                     fixture_grammar):
+    """Each hypothesis carries its per-step log-probs; the reported list is
+    the top hypothesis's, and it sums to that hypothesis's score."""
+    tv, terms, slots = vocabs_from_examples(six_examples)
+    checked = 0
+    for seed in range(4):
+        cfg = RunConfig(dim=8, layers=3, mlp_hidden=8, dropout=0.0, seed=seed,
+                        max_decode_steps=60)
+        model = Model(fixture_grammar, cfg, tv, terms, slots,
+                      dtype=np.float32, seed=seed)
+        ex = six_examples[seed]
+        result = beam_search(model, ex.description, ex.slots, beam_size=5)
+        if result.failed:
+            continue
+        top = result.hypotheses[0]
+        assert result.step_log_probs == list(top.step_log_probs)
+        assert abs(sum(result.step_log_probs) - top.log_prob) <= 1e-6
+        for h in result.hypotheses:
+            assert len(h.step_log_probs) == len(h.rule_trace)
+            assert abs(sum(h.step_log_probs) - h.log_prob) <= 1e-6
+        checked += 1
+    assert checked >= 2

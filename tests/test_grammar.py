@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,41 @@ def test_json_roundtrip_byte_stable(fixture_grammar):
 def test_json_bad_version():
     with pytest.raises(GrammarError):
         grammar_from_json('{"version": 99, "symbols": [], "rules": []}')
+
+
+# (entries to set, keys to drop) on a valid grammar document
+MALFORMED_GRAMMAR_DOCS = {
+    "no_symbols": ({}, ["symbols"]),
+    "no_rules": ({}, ["rules"]),
+    "symbol_not_an_object": ({"symbols": ["S"]}, []),
+    "symbol_without_kind": ({"symbols": [{"name": "S"}]}, []),
+    "rule_without_rhs": ({"rules": [{"id": 0, "lhs": "S"}]}, []),
+    "rule_with_unknown_symbol": (
+        {"rules": [{"id": 0, "lhs": "S", "rhs": ["Q"]}]}, []),
+    "rule_with_list_symbol": ({"rules": [{"id": 0, "lhs": ["S"], "rhs": []}]},
+                              []),
+    "rule_id_not_an_int": ({"rules": [{"id": "0", "lhs": "S", "rhs": []}]},
+                           []),
+    "scope_vocab_not_strings": ({"scope_vocab": [1]}, []),
+    "unknown_start": ({"start": "Q"}, []),
+}
+
+
+@pytest.mark.parametrize("updates, dropped", MALFORMED_GRAMMAR_DOCS.values(),
+                         ids=MALFORMED_GRAMMAR_DOCS.keys())
+def test_json_malformed_document(fixture_grammar, updates, dropped):
+    doc = json.loads(grammar_to_json(fixture_grammar))
+    doc.update(updates)
+    for key in dropped:
+        del doc[key]
+    with pytest.raises(GrammarError):
+        grammar_from_json(json.dumps(doc))
+
+
+def test_json_top_level_not_an_object():
+    for text in ("[]", "5", '"grammar"', "null"):
+        with pytest.raises(GrammarError):
+            grammar_from_json(text)
 
 
 def test_copy_terminal_symbol(fixture_grammar):

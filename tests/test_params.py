@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,43 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     save_params(make_store(dtype=np.float32), a)
     save_params(make_store(dtype=np.float32), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+BAD_HEADERS = {
+    "not_an_object": [1],
+    "no_params": {"format_version": 1},
+    "entry_not_an_object": {"format_version": 1, "params": ["w"]},
+    "entry_without_shape": {"format_version": 1, "params": [{"name": "w"}]},
+    "entry_without_name": {"format_version": 1, "params": [{"shape": [2]}]},
+    "shape_not_sizes": {"format_version": 1,
+                        "params": [{"name": "w", "shape": [2, "x"]}]},
+    "repeated_name": {"format_version": 1,
+                      "params": [{"name": "w", "shape": []},
+                                 {"name": "w", "shape": []}]},
+}
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS.values(),
+                         ids=BAD_HEADERS.keys())
+def test_checkpoint_malformed_header_entries(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+    with pytest.raises(CheckpointError):
+        load_params(path)
+
+
+def test_model_load_needs_model_extras(tmp_path):
+    from rulegen.grammar import induce_grammar
+    from rulegen.data import synth_corpus
+    from rulegen.model import Model
+
+    path = tmp_path / "ck.bin"
+    save_params(make_store(dtype=np.float32), path)
+    grammar = induce_grammar([ex.ast for ex in synth_corpus(count=2)])
+    with pytest.raises(CheckpointError):
+        Model.load(path, grammar)
+    save_params(make_store(dtype=np.float32), path, extras={
+        "config": {"mystery": 1}, "token_vocab": [], "terminal_vocab": [],
+        "slot_name_vocab": []})
+    with pytest.raises(CheckpointError):
+        Model.load(path, grammar)
