@@ -6,7 +6,7 @@ depth-first pre-order, addressed by its child-index path from the root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grammar import (
     CompleteTreeError,
@@ -19,24 +19,11 @@ from .grammar import (
     STRUCTURAL,
     Symbol,
     TERMINAL,
+    VARIABLE,
     validate_tree,
 )
 
 PHD_SYMBOL = Symbol("<phd>", NONTERMINAL, STRUCTURAL)
-VISIT = "visit"
-BACKTRACK = "backtrack"
-
-
-class DerivationError(ValueError):
-    pass
-
-
-class IncompleteDerivationError(DerivationError):
-    """Rule sequence ended while a frontier remained."""
-
-
-class OverlongDerivationError(DerivationError):
-    """Rules left over after the tree completed."""
 
 
 @dataclass(frozen=True)
@@ -46,30 +33,23 @@ class AstNode:
     children: tuple = ()
     scope_name: str | None = None
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.symbol.kind == TERMINAL
 
-    @property
-    def expanded(self) -> bool:
-        return bool(self.children) or self.is_terminal
-
-
-@dataclass(frozen=True)
-class TraversalUnit:
-    node: AstNode
-    flag: str  # VISIT | BACKTRACK
+def _chain(root: AstNode, path) -> list:
+    """Nodes from ``root`` down to the node at ``path``, inclusive."""
+    nodes = [root]
+    for i in path:
+        nodes.append(nodes[-1].children[i])
+    return nodes
 
 
-def find_frontier(root: AstNode):
+def find_frontier(node: AstNode):
     """Path of the first pre-order unexpanded nonterminal, or None."""
-    stack = [(root, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.symbol.kind == NONTERMINAL and not node.children:
-            return path
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[i], path + (i,)))
+    if node.symbol.kind == NONTERMINAL and not node.children:
+        return ()
+    for i, child in enumerate(node.children):
+        sub = find_frontier(child)
+        if sub is not None:
+            return (i,) + sub
     return None
 
 
@@ -86,33 +66,11 @@ class PartialAst:
     def complete(self) -> bool:
         return self.frontier_path is None
 
-    def node_at(self, path) -> AstNode:
-        node = self.root
-        for i in path:
-            node = node.children[i]
-        return node
-
     @property
     def frontier(self) -> AstNode | None:
         if self.frontier_path is None:
             return None
-        return self.node_at(self.frontier_path)
-
-
-def node_count(root: AstNode) -> int:
-    return 1 + sum(node_count(c) for c in root.children)
-
-
-def trees_equal(a: AstNode, b: AstNode, compare_scopes=False) -> bool:
-    """Structural equality; scope names are metadata unless asked for."""
-    if a.symbol != b.symbol or a.terminal_value != b.terminal_value:
-        return False
-    if compare_scopes and a.scope_name != b.scope_name:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(trees_equal(x, y, compare_scopes)
-               for x, y in zip(a.children, b.children))
+        return _chain(self.root, self.frontier_path)[-1]
 
 
 def token_yield(root: AstNode) -> list:
@@ -129,44 +87,10 @@ def token_yield(root: AstNode) -> list:
     return out
 
 
-def _next_frontier_after(root: AstNode, path):
-    """First unexpanded nonterminal at or under ``path``, else the next
-    one in pre-order after it."""
-    sub = find_frontier_in(root, path)
-    if sub is not None:
-        return sub
-    # Walk up, scanning later siblings' subtrees.
-    while path:
-        parent_path, idx = path[:-1], path[-1]
-        parent = root
-        for i in parent_path:
-            parent = parent.children[i]
-        for j in range(idx + 1, len(parent.children)):
-            sub = find_frontier_in(root, parent_path + (j,))
-            if sub is not None:
-                return sub
-        path = parent_path
-    return None
-
-
-def find_frontier_in(root: AstNode, path):
-    node = root
-    for i in path:
-        node = node.children[i]
-    rel = find_frontier(node)
-    if rel is None:
-        return None
-    return path + rel
-
-
 def _rebuild(root: AstNode, path, new_node, scope_value, scope_symbols):
     """Replace the node at ``path`` and, when ``scope_value`` is set,
     stamp it on the deepest scope-introducing ancestor lacking one."""
-    chain = [root]
-    node = root
-    for i in path:
-        node = node.children[i]
-        chain.append(node)
+    chain = _chain(root, path)
     scope_at = -1
     if scope_value is not None:
         for depth in range(len(chain) - 1, -1, -1):
@@ -190,10 +114,8 @@ def _rebuild(root: AstNode, path, new_node, scope_value, scope_symbols):
 def _expand(t: PartialAst, children, scope_value, scope_symbols) -> PartialAst:
     fnode = t.frontier
     new_node = AstNode(fnode.symbol, None, tuple(children), fnode.scope_name)
-    new_root = _rebuild(t.root, t.frontier_path, new_node,
-                        scope_value, scope_symbols)
-    new_path = _next_frontier_after(new_root, t.frontier_path)
-    return PartialAst(new_root, new_path)
+    return PartialAst.from_root(_rebuild(t.root, t.frontier_path, new_node,
+                                         scope_value, scope_symbols))
 
 
 def apply_rule(t: PartialAst, rule: GrammarRule,
@@ -228,9 +150,16 @@ def apply_copy(t: PartialAst, value: str, terminal_symbol: Symbol,
                    scope_value, scope_symbols)
 
 
-def encode_to_rules(tree: AstNode, g: Grammar) -> list:
-    """Leftmost-derivation rule ids whose replay reconstructs ``tree``."""
+def encode_to_rules(tree: AstNode, g: Grammar, slot_values=()) -> list:
+    """Leftmost-derivation targets whose replay reconstructs ``tree``.
+
+    Each expansion becomes its rule id, except that a variable node whose
+    terminal value is one of ``slot_values`` becomes the copy target of
+    the first such slot (R + slot index), so ``()`` gives pure rule ids.
+    Raises MissingRuleError when neither exists.
+    """
     validate_tree(tree)
+    r = g.num_rules
     out = []
 
     def walk(node):
@@ -240,12 +169,16 @@ def encode_to_rules(tree: AstNode, g: Grammar) -> list:
         value = None
         if len(node.children) == 1 and node.children[0].symbol.kind == TERMINAL:
             value = node.children[0].terminal_value
-        rid = g.rule_id(node.symbol.name, rhs_names, value)
-        if rid is None:
-            raise MissingRuleError(
-                f"no rule {node.symbol.name} -> {list(rhs_names)}"
-                + (f" = {value!r}" if value is not None else ""))
-        out.append(rid)
+        if (value is not None and node.symbol.node_class == VARIABLE
+                and value in slot_values):
+            out.append(r + slot_values.index(value))
+        else:
+            rid = g.rule_id(node.symbol.name, rhs_names, value)
+            if rid is None:
+                raise MissingRuleError(
+                    f"no rule {node.symbol.name} -> {list(rhs_names)}"
+                    + (f" = {value!r}" if value is not None else ""))
+            out.append(rid)
         for c in node.children:
             walk(c)
 
@@ -253,72 +186,11 @@ def encode_to_rules(tree: AstNode, g: Grammar) -> list:
     return out
 
 
-def decode_from_rules(rules, g: Grammar, start: Symbol) -> AstNode:
-    """Replay a leftmost derivation; exact inverse of encode_to_rules."""
-    if start.kind != NONTERMINAL:
-        raise DerivationError(f"start symbol {start.name!r} is not a nonterminal")
-    t = PartialAst.from_root(AstNode(start))
-    for rid in rules:
-        if t.frontier_path is None:
-            raise OverlongDerivationError(
-                f"rule {rid} applied after the tree completed")
-        t = apply_rule(t, g.rules[rid], g.scope_symbols)
-    if t.frontier_path is not None:
-        raise IncompleteDerivationError(
-            f"derivation ended at frontier {t.frontier.symbol.name!r}")
-    return t.root
-
-
-def preorder_with_backtrack(t: PartialAst, with_placeholder: bool):
-    """Pre-order traversal emitting each node on entry and after its
-    subtree. With the placeholder, n_PHD is inserted right after the
-    frontier among its siblings (as a child when the frontier is the
-    root), marking where the next rule applies."""
-    if with_placeholder and t.frontier_path is None:
-        raise CompleteTreeError("placeholder insertion needs a frontier")
-    units = []
-    phd = AstNode(PHD_SYMBOL)
-    fpath = t.frontier_path
-
-    def walk(node, path):
-        units.append(TraversalUnit(node, VISIT))
-        for i, c in enumerate(node.children):
-            walk(c, path + (i,))
-        if with_placeholder and path == fpath and path == ():
-            units.append(TraversalUnit(phd, VISIT))
-            units.append(TraversalUnit(phd, BACKTRACK))
-        units.append(TraversalUnit(node, BACKTRACK))
-        if with_placeholder and path == fpath and path != ():
-            units.append(TraversalUnit(phd, VISIT))
-            units.append(TraversalUnit(phd, BACKTRACK))
-
-    walk(t.root, ())
-    return units
-
-
 def root_path(t: PartialAst):
     """Nodes from the root down to the frontier, inclusive."""
     if t.frontier_path is None:
         raise CompleteTreeError("complete tree has no frontier path")
-    nodes = [t.root]
-    node = t.root
-    for i in t.frontier_path:
-        node = node.children[i]
-        nodes.append(node)
-    return nodes
-
-
-def context_triple(root: AstNode, path):
-    """(node, parent, grandparent) at ``path``; missing ancestors are None
-    and stand for the PAD embedding downstream."""
-    chain = [root]
-    node = root
-    for i in path:
-        node = node.children[i]
-        chain.append(node)
-    parent = chain[-2] if len(chain) >= 2 else None
-    grand = chain[-3] if len(chain) >= 3 else None
-    return node, parent, grand
+    return _chain(t.root, t.frontier_path)
 
 
 def nearest_scope(t: PartialAst):
@@ -370,32 +242,3 @@ def augmented_view(t: PartialAst):
     walk(t.root, (), -1)
     return nodes, parents, grands, units
 
-
-def reconstruct_from_traversal(units):
-    """Invert a visit/backtrack traversal back to its tree.
-
-    Stack-based: a visit opens a node under the current top, a backtrack
-    closes the top. Serves as the independent inversion oracle.
-    """
-    root_box = []
-    stack = []
-    for u in units:
-        if u.flag == VISIT:
-            stack.append((u.node, []))
-        elif u.flag == BACKTRACK:
-            if not stack:
-                raise DerivationError("backtrack with empty stack")
-            node, kids = stack.pop()
-            if node.symbol != u.node.symbol:
-                raise DerivationError("mismatched backtrack unit")
-            rebuilt = AstNode(node.symbol, node.terminal_value,
-                              tuple(kids), node.scope_name)
-            if stack:
-                stack[-1][1].append(rebuilt)
-            else:
-                root_box.append(rebuilt)
-        else:
-            raise DerivationError(f"bad traversal flag {u.flag!r}")
-    if stack or len(root_box) != 1:
-        raise DerivationError("traversal does not close a single tree")
-    return root_box[0]

@@ -272,18 +272,6 @@ def row(x: Tensor, index: int) -> Tensor:
     return _make(out, (x,), bw, "row")
 
 
-def tile_rows(x: Tensor, n: int) -> Tensor:
-    """An (n, d) matrix whose every row is the vector x."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"tile_rows expects a vector, got {x.shape}")
-    out = np.repeat(x.data[None, :], n, axis=0)
-
-    def bw(g):
-        return (g.sum(axis=0),)
-
-    return _make(out, (x,), bw, "tile_rows")
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = x.data.sum()
 
@@ -339,22 +327,6 @@ def row_scale(x: Tensor, weights) -> Tensor:
         return (g * w[:, None],)
 
     return _make(out, (x,), bw, "row_scale")
-
-
-def max_over_rows(x: Tensor) -> Tensor:
-    """Column-wise max of a matrix; the pooled vector for a feature set."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_over_rows expects a matrix, got {x.shape}")
-    arg = x.data.argmax(axis=0)
-    cols = np.arange(x.shape[1])
-    out = x.data[arg, cols]
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[arg, cols] = g
-        return (gx,)
-
-    return _make(out, (x,), bw, "max_over_rows")
 
 
 def _check_segments(lengths, n):

@@ -10,8 +10,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .ast_tree import token_yield
 from .config import ConfigError, RunConfig
 from .data import (

@@ -1,6 +1,5 @@
-"""Dataset interchange records, the AST document codec, random tree
-sampling, and the synthetic corpus generator used for desk-scale
-experiments.
+"""Dataset interchange records, the AST document codec, and the
+synthetic corpus generator used for desk-scale experiments.
 
 A dataset is one JSON record per line:
     {"id", "description", "slots": [{"name", "value"}...], "ast": {...}}
@@ -10,14 +9,13 @@ with AST nodes {"symbol", "node_class"?, "terminal"?, "scope"?,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ast_tree import AstNode, PartialAst, apply_rule
+from .ast_tree import AstNode
 from .grammar import (
     FUNCTION_NAME,
-    Grammar,
     NONTERMINAL,
     STRUCTURAL,
     Symbol,
@@ -139,46 +137,6 @@ def save_dataset(examples, path):
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
             f.write(example_to_line(ex) + "\n")
-
-
-def _min_heights(g: Grammar):
-    """Min derivation height per rule, for bounded random sampling."""
-    sym_h = {name: (0 if s.kind == TERMINAL else None)
-             for name, s in g.symbols.items()}
-    rule_h = {r.id: None for r in g.rules}
-    changed = True
-    while changed:
-        changed = False
-        for r in g.rules:
-            hs = [sym_h[s.name] for s in r.rhs]
-            if any(h is None for h in hs):
-                continue
-            h = 1 + max(hs)
-            if rule_h[r.id] is None or h < rule_h[r.id]:
-                rule_h[r.id] = h
-                changed = True
-            cur = sym_h[r.lhs.name]
-            if cur is None or h < cur:
-                sym_h[r.lhs.name] = h
-                changed = True
-    return rule_h
-
-
-def random_tree(g: Grammar, rng, max_depth=8, start=None) -> AstNode:
-    """Sample a complete tree by random rule choice; beyond max_depth the
-    minimum-height rule for the frontier symbol is forced."""
-    start = start or g.start_symbol
-    rule_h = _min_heights(g)
-    t = PartialAst.from_root(AstNode(start))
-    while t.frontier_path is not None:
-        depth = len(t.frontier_path)
-        ids = list(g.lhs_index[t.frontier.symbol.name])
-        if depth >= max_depth:
-            best = min(rule_h[i] for i in ids if rule_h[i] is not None)
-            ids = [i for i in ids if rule_h[i] == best]
-        rid = ids[int(rng.integers(len(ids)))]
-        t = apply_rule(t, g.rules[rid], g.scope_symbols)
-    return t.root
 
 
 # --- synthetic corpus ----------------------------------------------------

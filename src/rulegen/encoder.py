@@ -36,18 +36,10 @@ class TokenVocab:
 
     @classmethod
     def build(cls, descriptions) -> "TokenVocab":
-        vocab = cls()
-        for d in descriptions:
-            for t in tokenize(d):
-                if t not in vocab._index:
-                    vocab._index[t] = len(vocab._index)
-        return vocab
+        return cls(t for d in descriptions for t in tokenize(d))
 
     def __len__(self):
         return len(self._index)
-
-    def __contains__(self, token):
-        return token in self._index
 
     def index(self, token) -> int:
         return self._index.get(token, 1)
@@ -72,19 +64,19 @@ class TokenVocab:
         return cls(lines[2:])
 
 
-def shortcut_cnn(store, prefix, y0, layers, window, collect=False,
-                 lengths=None):
+def shortcut_cnn(store, prefix, y0, layers, window, lengths=None):
     """Run the shortcut CNN stack over embedded positions.
 
     ``store[prefix + "conv{l}"]`` holds W(l) of shape (window*d, d).
     With ``lengths``, y0 packs consecutive sequences of those lengths and
     each is convolved as if alone (the convolutions have no bias, so a
     boundary pads with zeros like the ends of a sequence do).
-    Returns the top layer, or every layer output when ``collect``.
+    Returns the top layer; layer l reads ``conv{l}``, so a call with
+    ``layers=l`` gives the output of layer l of a deeper stack.
     """
     outs = [y0]
     for layer in range(1, layers + 1):
         outs.append(ad.window_conv(
             outs[-1], store[f"{prefix}conv{layer}"], window, lengths,
             residual=outs[layer - 2] if layer % 2 == 0 else None))
-    return outs if collect else outs[-1]
+    return outs[-1]

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .ast_tree import encode_to_rules
 from .config import RunConfig
 from .data import synth_corpus
 from .grammar import induce_grammar
 from .model import Model, vocabs_from_examples
-from .training import derivation_targets, example_loss
+from .training import example_loss
 
 TOLERANCE = 1e-4
 EPSILON = 1e-5
@@ -104,8 +105,9 @@ def build_tiny_model(config: RunConfig):
     token_vocab, terminals, slot_names = vocabs_from_examples(examples)
     model = Model(grammar, config, token_vocab, terminals, slot_names,
                   dtype=np.float64, seed=config.seed)
-    batches = [(ex, derivation_targets(ex, grammar, not config.no_copy))
-               for ex in examples]
+    batches = [(ex, encode_to_rules(
+        ex.ast, grammar, () if config.no_copy else ex.slot_values()))
+        for ex in examples]
 
     def loss_builder():
         total = None
@@ -174,7 +176,6 @@ def run_op_checks(seed=0) -> dict:
     report["window_conv_residual"] = _fd_input_check(
         lambda a, w, r: ad.window_conv(a, w, 2, residual=r),
         [(5, 3), (6, 2), (5, 2)], rng)
-    report["max_over_rows"] = _fd_input_check(ad.max_over_rows, [(5, 3)], rng)
     report["sumsq"] = _fd_input_check(ad.sumsq, [(4, 2)], rng)
     report["gather_rows"] = _fd_input_check(
         lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)], rng)
@@ -201,8 +202,6 @@ def run_op_checks(seed=0) -> dict:
         [(6, 2), (4, 2), (6, 2)], rng)
     report["segment_max"] = _fd_input_check(
         lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)], rng)
-    report["tile_rows"] = _fd_input_check(
-        lambda a: ad.tile_rows(a, 3), [(4,)], rng)
     report["row"] = _fd_input_check(lambda a: ad.row(a, 1), [(3, 4)], rng)
     report["pick_rows"] = _fd_input_check(
         lambda a: ad.pick(a, [2, 0, 2]), [(3, 4)], rng)

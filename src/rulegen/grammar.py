@@ -10,9 +10,7 @@ sweep of the corpus in input order, so induction is deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 NONTERMINAL = "nonterminal"
 TERMINAL = "terminal"
@@ -34,10 +32,6 @@ class GrammarError(ValueError):
 
 class StructuralInputError(GrammarError):
     """Malformed input tree; the message names the offending node path."""
-
-
-class UncoverableSymbolError(GrammarError):
-    """A nonterminal with no rule to expand it."""
 
 
 class IllegalApplicationError(GrammarError):
@@ -207,18 +201,6 @@ def induce_grammar(corpus) -> "Grammar":
 
     return Grammar(rules, symbols, scope_vocab, scope_symbols,
                    start_symbol=corpus[0].symbol)
-
-
-def valid_rule_mask(g: Grammar, frontier_symbol: Symbol) -> np.ndarray:
-    if frontier_symbol.kind != NONTERMINAL:
-        raise GrammarError(f"{frontier_symbol.name!r} is not a nonterminal")
-    ids = g.lhs_index.get(frontier_symbol.name)
-    if not ids:
-        raise UncoverableSymbolError(
-            f"no rules expand symbol {frontier_symbol.name!r}")
-    mask = np.zeros(g.num_rules, dtype=bool)
-    mask[list(ids)] = True
-    return mask
 
 
 def copy_terminal_symbol(g: Grammar, lhs: Symbol) -> Symbol:

@@ -31,6 +31,7 @@ from .ast_tree import (
     augmented_view,
     nearest_scope,
     root_path,
+    token_yield,
 )
 from .config import ConfigError, RunConfig
 from .encoder import TokenVocab, shortcut_cnn, tokenize
@@ -41,7 +42,15 @@ from .grammar import (
     copy_terminal_symbol,
     grammar_to_json,
 )
-from .params import ParamStore, embedding_init, load_params, save_params, xavier_uniform
+from .params import (
+    CheckpointError,
+    ParamStore,
+    embedding_init,
+    load_params,
+    save_params,
+    xavier_uniform,
+    zeros_init,
+)
 
 FLAG_DIM = 8
 HEAD_CLASSES = ("structural", "variable", "function_name")
@@ -173,60 +182,86 @@ class Model:
             parts += 1
         return parts * cfg.dim
 
-    def _init_params(self, rng) -> ParamStore:
+    def param_layout(self):
+        """(name, shape, initializer) of every parameter, in store order;
+        the initializers draw from one generator in this order."""
         cfg = self.config
         g = self.grammar
         d, k, layers, hidden = cfg.dim, cfg.window, cfg.layers, cfg.mlp_hidden
-        store = ParamStore(dtype=self.dtype)
-
-        store.add("emb/token", embedding_init(rng, len(self.token_vocab), d))
-        store.add("emb/symbol", embedding_init(rng, len(self.sym_index) + 2, d))
-        store.add("emb/terminal", embedding_init(rng, self.term_unk + 1, d))
-        store.add("emb/rule", embedding_init(rng, g.num_rules + 2, d))
-        store.add("emb/flag", embedding_init(rng, 2, FLAG_DIM))
+        layout = [
+            ("emb/token", (len(self.token_vocab), d), embedding_init),
+            ("emb/symbol", (len(self.sym_index) + 2, d), embedding_init),
+            ("emb/terminal", (self.term_unk + 1, d), embedding_init),
+            ("emb/rule", (g.num_rules + 2, d), embedding_init),
+            ("emb/flag", (2, FLAG_DIM), embedding_init),
+        ]
         if not cfg.no_scope:
-            store.add("emb/scope",
-                      embedding_init(rng, max(len(g.scope_vocab), 1), d))
+            layout.append(("emb/scope", (max(len(g.scope_vocab), 1), d),
+                           embedding_init))
         if not cfg.no_copy:
-            store.add("emb/slot", embedding_init(rng, self.slot_unk + 1, d))
+            layout.append(("emb/slot", (self.slot_unk + 1, d), embedding_init))
 
         def convs(prefix):
             for layer in range(1, layers + 1):
-                store.add(f"{prefix}conv{layer}",
-                          xavier_uniform(rng, d, k * d, shape=(k * d, d)))
+                layout.append((f"{prefix}conv{layer}", (k * d, d),
+                               xavier_uniform))
+
+        def square(name):
+            layout.append((name, (d, d), xavier_uniform))
 
         convs("enc/")
-        agg = self.aggregate_width()
         for head in self.heads:
             if not cfg.no_rule_cnn:
                 convs(f"{head}/rule/")
             if not cfg.no_tree_conv:
-                store.add(f"{head}/ast_w",
-                          xavier_uniform(rng, d, 3 * d, shape=(3 * d, d)))
+                layout.append((f"{head}/ast_w", (3 * d, d), xavier_uniform))
             if not cfg.no_preorder_cnn:
-                store.add(f"{head}/pre_proj",
-                          xavier_uniform(rng, d, d + FLAG_DIM,
-                                         shape=(d + FLAG_DIM, d)))
+                layout.append((f"{head}/pre_proj", (d + FLAG_DIM, d),
+                               xavier_uniform))
                 convs(f"{head}/pre/")
             if not cfg.no_treepath_cnn:
                 convs(f"{head}/path/")
             if not cfg.attention_to_maxpool:
                 if not cfg.no_rule_cnn:
-                    store.add(f"{head}/att_rule", xavier_uniform(rng, d, d))
+                    square(f"{head}/att_rule")
                 if not cfg.no_treepath_cnn:
-                    store.add(f"{head}/att_path", xavier_uniform(rng, d, d))
-                store.add(f"{head}/att_pre", xavier_uniform(rng, d, d))
-                store.add(f"{head}/att_enc", xavier_uniform(rng, d, d))
+                    square(f"{head}/att_path")
+                square(f"{head}/att_pre")
+                square(f"{head}/att_enc")
                 if cfg.extra_treeconv_pool:
-                    store.add(f"{head}/att_ast", xavier_uniform(rng, d, d))
-            store.add(f"{head}/mlp_w1", xavier_uniform(rng, hidden, agg))
-            store.add(f"{head}/mlp_b1", np.zeros(hidden))
-            store.add(f"{head}/mlp_w2",
-                      xavier_uniform(rng, g.num_rules, hidden))
-            store.add(f"{head}/mlp_b2", np.zeros(g.num_rules))
+                    square(f"{head}/att_ast")
+            layout += [
+                (f"{head}/mlp_w1", (hidden, self.aggregate_width()),
+                 xavier_uniform),
+                (f"{head}/mlp_b1", (hidden,), zeros_init),
+                (f"{head}/mlp_w2", (g.num_rules, hidden), xavier_uniform),
+                (f"{head}/mlp_b2", (g.num_rules,), zeros_init),
+            ]
             if not cfg.no_copy and head == self._copy_head():
-                store.add(f"{head}/copy_w", xavier_uniform(rng, hidden, d))
+                layout.append((f"{head}/copy_w", (hidden, d), xavier_uniform))
+        return layout
+
+    def _init_params(self, rng) -> ParamStore:
+        store = ParamStore(dtype=self.dtype)
+        for name, shape, init in self.param_layout():
+            store.add(name, init(rng, shape))
         return store
+
+    def _check_layout(self):
+        """Raise CheckpointError unless the loaded parameters are exactly
+        the names and shapes this config needs."""
+        layout = {name: shape for name, shape, _ in self.param_layout()}
+        for name, shape in layout.items():
+            if name not in self.store:
+                raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+            if self.store[name].shape != shape:
+                raise CheckpointError(
+                    f"checkpoint parameter {name!r} has shape "
+                    f"{self.store[name].shape}, the config needs {shape}")
+        for name in self.store.names():
+            if name not in layout:
+                raise CheckpointError(
+                    f"checkpoint has unexpected parameter {name!r}")
 
     # -- forward ----------------------------------------------------------
 
@@ -236,7 +271,8 @@ class Model:
 
     def encode(self, description: str, train=False, rng=None,
                word_dropout=0.0):
-        """Returns (per-position features, max-pool controller)."""
+        """Returns the per-position features and their (1, d) max-pool,
+        controller A."""
         cfg = self.config
         tokens = tokenize(description)
         idx = self.token_vocab.indices(tokens)
@@ -244,7 +280,7 @@ class Model:
             idx = [1 if rng.random() < word_dropout else i for i in idx]
         y0 = ad.embedding(self.store["emb/token"], idx)
         feats = shortcut_cnn(self.store, "enc/", y0, cfg.layers, cfg.window)
-        return feats, ad.max_over_rows(feats)
+        return feats, ad.segment_max(feats, [len(idx)])
 
     def _scope_controller(self, states):
         """Controller B, one row per state: the embedding of the nearest
@@ -361,38 +397,35 @@ class Model:
                             self.config.window, lengths=lengths), lengths
 
     def aggregate(self, states, enc_feats, enc_controller, head: str):
-        """Pooled features in AGGREGATE_ORDER: a vector for one state, one
-        row per state for a sequence of states."""
+        """Pooled features in AGGREGATE_ORDER, one row per state."""
         cfg = self.config
-        single = isinstance(states, DecoderState)
-        batch = [states] if single else list(states)
         # controller A is the encoder max-pool, and so also max(encoder)
-        ctrl_a = ad.tile_rows(enc_controller, len(batch))
-        ctrl_b = self._scope_controller(batch)
-        y_ast, node_lengths, units = self.ast_features(batch, head)
+        ctrl_a = ad.gather_rows(enc_controller, [0] * len(states))
+        ctrl_b = self._scope_controller(states)
+        y_ast, node_lengths, units = self.ast_features(states, head)
         feats_pre, pre_lengths = self.preorder_features(y_ast, node_lengths,
                                                         units, head)
-        parts = []
+        parts = {}
         if not cfg.no_rule_cnn:
-            parts.append(self._pool(*self.rule_features(batch, head),
-                                    ctrl_a, f"{head}/att_rule"))
+            parts["att_rule"] = self._pool(*self.rule_features(states, head),
+                                           ctrl_a, f"{head}/att_rule")
         if not cfg.no_treepath_cnn:
-            parts.append(self._pool(*self.path_features(batch, head),
-                                    ctrl_a, f"{head}/att_path"))
-        parts.append(self._pool(feats_pre, pre_lengths, ctrl_b,
-                                f"{head}/att_pre"))
+            parts["att_path"] = self._pool(*self.path_features(states, head),
+                                           ctrl_a, f"{head}/att_path")
+        parts["att_pre"] = self._pool(feats_pre, pre_lengths, ctrl_b,
+                                      f"{head}/att_pre")
         if cfg.attention_to_maxpool:
-            parts.append(ctrl_a)
+            parts["att_enc"] = ctrl_a
         else:
-            parts.append(attentive_pool(enc_feats, ctrl_b,
-                                        self.store[f"{head}/att_enc"]))
-        parts.append(ctrl_a)
-        parts.append(ad.segment_max(feats_pre, pre_lengths))
+            parts["att_enc"] = attentive_pool(enc_feats, ctrl_b,
+                                              self.store[f"{head}/att_enc"])
+        parts["max_enc"] = ctrl_a
+        parts["max_pre"] = ad.segment_max(feats_pre, pre_lengths)
         if cfg.extra_treeconv_pool:
-            parts.append(self._pool(y_ast, node_lengths, ctrl_b,
-                                    f"{head}/att_ast"))
-        agg = ad.concat(parts, axis=1)
-        return ad.row(agg, 0) if single else agg
+            parts["att_ast"] = self._pool(y_ast, node_lengths, ctrl_b,
+                                          f"{head}/att_ast")
+        return ad.concat([parts[k] for k in AGGREGATE_ORDER if k in parts],
+                         axis=1)
 
     def _head_logits(self, states, enc_feats, enc_controller, head, width,
                      train, rng):
@@ -491,8 +524,6 @@ class Model:
     @classmethod
     def load(cls, path, grammar: Grammar, dtype=np.float32,
              check_grammar=True):
-        from .params import CheckpointError
-
         store, header = load_params(path, dtype=dtype)
         extras = header.get("extras")
         fields = ("config", "token_vocab", "terminal_vocab", "slot_name_vocab")
@@ -508,14 +539,14 @@ class Model:
         if check_grammar and extras.get("grammar_hash") != grammar_hash(grammar):
             raise CheckpointError("checkpoint was trained on a different grammar")
         vocab = TokenVocab(extras["token_vocab"][2:])
-        return cls(grammar, config, vocab, extras["terminal_vocab"],
-                   extras["slot_name_vocab"], dtype=dtype, store=store)
+        model = cls(grammar, config, vocab, extras["terminal_vocab"],
+                    extras["slot_name_vocab"], dtype=dtype, store=store)
+        model._check_layout()
+        return model
 
 
 def vocabs_from_examples(examples):
     """(token vocab, terminal vocab, slot-name vocab) from training data."""
-    from .ast_tree import token_yield
-
     token_vocab = TokenVocab.build(ex.description for ex in examples)
     terminals, seen_t = [], set()
     slot_names, seen_s = [], set()

@@ -55,15 +55,18 @@ class ParamStore:
         return {k: t.data.copy() for k, t in self.params.items()}
 
 
-def xavier_uniform(rng, fan_out: int, fan_in: int, shape=None) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_out, fan_in)
+def xavier_uniform(rng, shape) -> np.ndarray:
+    """Glorot-uniform draws; the limit is symmetric in the two fans."""
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def embedding_init(rng, rows: int, dim: int) -> np.ndarray:
-    return rng.uniform(-0.05, 0.05, size=(rows, dim))
+def embedding_init(rng, shape) -> np.ndarray:
+    return rng.uniform(-0.05, 0.05, size=shape)
+
+
+def zeros_init(rng, shape) -> np.ndarray:
+    return np.zeros(shape)
 
 
 def adam_step(store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -16,52 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .ast_tree import token_yield
+from .ast_tree import encode_to_rules, token_yield
 from .config import RunConfig
 from .data import Example
 from .decode import beam_search
-from .grammar import Grammar, MissingRuleError, TERMINAL, VARIABLE
+from .grammar import Grammar, MissingRuleError
 from .metrics import bleu, string_accuracy
 from .model import Model, advance, initial_state, vocabs_from_examples
 from .params import adam_step
-
-
-def derivation_targets(example: Example, grammar: Grammar,
-                       use_copy: bool) -> list:
-    """Gold prediction targets in leftmost-derivation order.
-
-    A variable-node terminal whose value equals some slot value becomes
-    the first matching slot's copy target (R + slot index); otherwise
-    the terminal rule is the target. Raises MissingRuleError when
-    neither exists.
-    """
-    r = grammar.num_rules
-    slot_values = example.slot_values()
-    targets = []
-
-    def walk(node):
-        if not node.children:
-            return
-        rhs_names = tuple(c.symbol.name for c in node.children)
-        value = None
-        if len(node.children) == 1 and node.children[0].symbol.kind == TERMINAL:
-            value = node.children[0].terminal_value
-        if (use_copy and value is not None
-                and node.symbol.node_class == VARIABLE
-                and value in slot_values):
-            targets.append(r + slot_values.index(value))
-        else:
-            rid = grammar.rule_id(node.symbol.name, rhs_names, value)
-            if rid is None:
-                raise MissingRuleError(
-                    f"no rule {node.symbol.name} -> {list(rhs_names)}"
-                    + (f" = {value!r}" if value is not None else ""))
-            targets.append(rid)
-        for c in node.children:
-            walk(c)
-
-    walk(example.ast)
-    return targets
 
 
 def example_loss(model: Model, example: Example, targets, train=True,
@@ -134,8 +96,8 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
     skipped = 0
     for ex in train_examples:
         try:
-            usable.append((ex, derivation_targets(ex, grammar,
-                                                  not config.no_copy)))
+            usable.append((ex, encode_to_rules(
+                ex.ast, grammar, () if config.no_copy else ex.slot_values())))
         except MissingRuleError:
             skipped += 1
     result = TrainResult(model, skipped=skipped)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rulegen.config import RunConfig
-from rulegen.data import load_dataset, random_tree
+from oracles import random_tree
+from rulegen.data import load_dataset
 from rulegen.grammar import induce_grammar
 from rulegen.model import Model, vocabs_from_examples
 

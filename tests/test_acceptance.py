@@ -10,20 +10,22 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (
+    BACKTRACK,
+    VISIT,
+    decode_from_rules,
+    preorder_with_backtrack,
+    reconstruct_from_traversal,
+    trees_equal,
+)
 from rulegen import autodiff as ad
 from rulegen.ast_tree import (
     AstNode,
-    BACKTRACK,
     PHD_SYMBOL,
     PartialAst,
-    VISIT,
-    decode_from_rules,
     encode_to_rules,
-    preorder_with_backtrack,
-    reconstruct_from_traversal,
     root_path,
     token_yield,
-    trees_equal,
 )
 from rulegen.config import ABLATION_TOGGLES, RunConfig
 from rulegen.data import synth_corpus
@@ -195,10 +197,11 @@ def test_criterion_6_shortcut_identity(criterion, six_examples,
             for layer in range(1, cfg.layers + 1):
                 model.store[f"{prefix}conv{layer}"].data[:] = 0.0
             y0 = ad.Tensor(np.abs(rng.standard_normal((6, cfg.dim))))
-            outs = shortcut_cnn(model.store, prefix, y0, cfg.layers,
-                                cfg.window, collect=True)
-            assert np.array_equal(outs[2].data, y0.data), prefix
-            assert np.array_equal(outs[4].data, outs[2].data), prefix
+            # layer l reads conv{l}, so a stack of l layers gives layer l
+            y2, y4 = (shortcut_cnn(model.store, prefix, y0, layers,
+                                   cfg.window) for layers in (2, 4))
+            assert np.array_equal(y2.data, y0.data), prefix
+            assert np.array_equal(y4.data, y2.data), prefix
 
     criterion(6, "shortcut CNN identity", check)
 

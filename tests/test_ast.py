@@ -1,30 +1,31 @@
 import numpy as np
 import pytest
 
-from rulegen.ast_tree import (
-    AstNode,
+from oracles import (
     BACKTRACK,
-    CompleteTreeError,
-    IllegalApplicationError,
     IncompleteDerivationError,
     OverlongDerivationError,
-    PHD_SYMBOL,
-    PartialAst,
-    TraversalUnit,
     VISIT,
-    apply_rule,
-    augmented_view,
     context_triple,
     decode_from_rules,
-    encode_to_rules,
-    find_frontier,
-    nearest_scope,
     node_count,
     preorder_with_backtrack,
     reconstruct_from_traversal,
+    trees_equal,
+)
+from rulegen.ast_tree import (
+    AstNode,
+    CompleteTreeError,
+    IllegalApplicationError,
+    PHD_SYMBOL,
+    PartialAst,
+    apply_rule,
+    augmented_view,
+    encode_to_rules,
+    find_frontier,
+    nearest_scope,
     root_path,
     token_yield,
-    trees_equal,
 )
 from rulegen.grammar import (
     MissingRuleError,
@@ -242,3 +243,65 @@ def test_augmented_view_consistent_with_traversal():
             assert gp == parents[p]
         else:
             assert gp == -1
+
+
+def oracle_visits(t):
+    """(node, parent, grandparent) of each visit unit of the oracle
+    traversal with placeholder, and the path of its first unexpanded
+    nonterminal; ancestors come from ``context_triple``."""
+    path, counts = [], [0]   # open nodes' child indices, children seen
+    frontier, triples = None, []
+    for unit in preorder_with_backtrack(t, with_placeholder=True):
+        if unit.flag == BACKTRACK:
+            path.pop()
+            counts.pop()
+            continue
+        node = unit.node
+        if node.symbol == PHD_SYMBOL:
+            # the placeholder is no child of the real tree: its parent is
+            # the node open around it, and it takes no child index
+            parent, grand, _ = context_triple(t.root, tuple(path[1:]))
+            triples.append((node, parent, grand))
+            path.append(None)
+        else:
+            path.append(counts[-1])
+            counts[-1] += 1
+            node_path = tuple(path[1:])
+            triples.append(context_triple(t.root, node_path))
+            if (frontier is None and node.symbol.kind == NONTERMINAL
+                    and not node.children):
+                frontier = node_path
+        counts.append(0)
+    return frontier, triples
+
+
+def test_views_match_oracles_at_every_prefix_state(fixture_grammar,
+                                                   random_trees):
+    g = fixture_grammar
+    states = 0
+    for tree in random_trees:
+        t = PartialAst.from_root(AstNode(tree.symbol))
+        for rid in encode_to_rules(tree, g):
+            frontier, triples = oracle_visits(t)
+            assert t.frontier_path == frontier
+            nodes, parents, grands, units = augmented_view(t)
+            ref = preorder_with_backtrack(t, with_placeholder=True)
+            assert [f for _, f in units] == [
+                0 if u.flag == VISIT else 1 for u in ref]
+            assert all(nodes[i].symbol == u.node.symbol
+                       for (i, _), u in zip(units, ref))
+            # nodes are listed in visit order
+            assert [i for i, f in units if f == 0] == list(range(len(nodes)))
+            assert len(triples) == len(nodes)
+            for i, (node, parent, grand) in enumerate(triples):
+                assert nodes[i].symbol == node.symbol
+                if node.symbol != PHD_SYMBOL:
+                    assert nodes[i] is node
+                for got, want in ((parents[i], parent), (grands[i], grand)):
+                    assert (got == -1) == (want is None)
+                    if want is not None:
+                        assert nodes[got] is want
+            t = apply_rule(t, g.rules[rid], g.scope_symbols)
+            states += 1
+        assert t.complete
+    assert states > len(random_trees)

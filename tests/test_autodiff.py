@@ -89,7 +89,7 @@ def test_stack_window_grad(n, m, k, seed):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 6), m=dims, seed=st.integers(0, 10**6))
 def test_max_over_rows_grad(n, m, seed):
-    check_op(ad.max_over_rows, [(n, m)], seed)
+    check_op(lambda x: ad.segment_max(x, [n]), [(n, m)], seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -327,8 +327,7 @@ def test_segment_max_matches_max_over_rows(lengths, m, seed):
     x = np.random.default_rng(seed).standard_normal((sum(lengths), m))
     got = ad.segment_max(ad.Tensor(x), lengths).data
     starts = np.cumsum([0] + lengths[:-1])
-    want = [ad.max_over_rows(ad.Tensor(x[s:s + n])).data
-            for s, n in zip(starts, lengths)]
+    want = [x[s:s + n].max(axis=0) for s, n in zip(starts, lengths)]
     assert np.array_equal(got, np.stack(want))
     check_op(lambda t: ad.segment_max(t, lengths), [(sum(lengths), m)], seed)
 
@@ -372,10 +371,10 @@ def test_row_tile_and_pick_rows():
     assert np.array_equal(ad.row(ad.Tensor(x), 1).data, x[1])
     assert np.array_equal(ad.pick(ad.Tensor(x), [3, 0, 2]).data,
                           [x[0, 3], x[1, 0], x[2, 2]])
-    assert np.array_equal(ad.tile_rows(ad.Tensor(x[0]), 2).data,
+    assert np.array_equal(ad.gather_rows(ad.Tensor(x[:1]), [0, 0]).data,
                           np.stack([x[0], x[0]]))
     check_op(lambda a: ad.row(a, 2), [(3, 4)], 5)
     check_op(lambda a: ad.pick(a, [3, 0, 2]), [(3, 4)], 6)
-    check_op(lambda a: ad.tile_rows(a, 3), [(4,)], 7)
+    check_op(lambda a: ad.gather_rows(a, [0, 0, 0]), [(1, 4)], 7)
     with pytest.raises(ad.ShapeError):
         ad.pick(ad.Tensor(x), [0, 1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rulegen import autodiff as ad
+from rulegen.ast_tree import encode_to_rules
 from rulegen.config import ABLATION_TOGGLES, RunConfig
 from rulegen.gradcheck import tiny_corpus
 from rulegen.grammar import induce_grammar
@@ -16,7 +17,7 @@ from rulegen.model import (
     initial_state,
     vocabs_from_examples,
 )
-from rulegen.training import derivation_targets, example_loss
+from rulegen.training import example_loss
 
 VARIANTS = [{}] + [{t: True} for t in ABLATION_TOGGLES]
 IDS = ["base"] + list(ABLATION_TOGGLES)
@@ -29,8 +30,9 @@ def tiny_model(overrides):
     grammar = induce_grammar([ex.ast for ex in examples])
     model = Model(grammar, config, *vocabs_from_examples(examples),
                   dtype=np.float64, seed=config.seed)
-    return model, [(ex, derivation_targets(ex, grammar, not config.no_copy))
-                   for ex in examples]
+    return model, [(ex, encode_to_rules(
+        ex.ast, grammar, () if config.no_copy else ex.slot_values()))
+        for ex in examples]
 
 
 def gold_states(model, example, targets):

@@ -158,6 +158,40 @@ def test_checkpoint_entry_without_shape_exits_2(workdir, tmp_path):
     assert "shape" in stderr
 
 
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header changed by ``edit``."""
+    raw = src.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    dst.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
+def rename_first(header):
+    assert header["params"][0]["name"] == "emb/token"
+    header["params"][0]["name"] = "emb/unknown"
+
+
+def reshape_flag(header):
+    # same number of values, so the payload still parses
+    entry = next(e for e in header["params"] if e["name"] == "emb/flag")
+    rows, cols = entry["shape"]
+    entry["shape"] = [rows * 2, cols // 2]
+
+
+@pytest.mark.parametrize("edit, named", [(rename_first, "emb/token"),
+                                         (reshape_flag, "emb/flag")],
+                         ids=["renamed_entry", "wrong_shape"])
+def test_checkpoint_layout_mismatch_exits_2(workdir, tmp_path, edit, named):
+    bad = tmp_path / "checkpoint.bin"
+    rewrite_header(workdir / "run" / "checkpoint.bin", bad, edit)
+    stderr = cli_rejects("generate", "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever")
+    assert str(bad) in stderr
+    assert named in stderr
+
+
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 16, "mystery": true}')

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rulegen.ast_tree import trees_equal
+from oracles import decode_from_rules, random_tree, trees_equal
+from rulegen.ast_tree import encode_to_rules
 from rulegen.config import ABLATION_TOGGLES, ConfigError, RunConfig
 from rulegen.data import (
     DatasetError,
@@ -12,7 +13,6 @@ from rulegen.data import (
     example_from_line,
     example_to_line,
     load_dataset,
-    random_tree,
     save_dataset,
     synth_corpus,
 )
@@ -112,8 +112,6 @@ def test_synth_corpus_deterministic_and_derivable():
     b = synth_corpus(count=10, seed=3)
     assert [example_to_line(x) for x in a] == [example_to_line(x) for x in b]
     g = induce_grammar([ex.ast for ex in a])
-    from rulegen.ast_tree import decode_from_rules, encode_to_rules
-
     for ex in a:
         rules = encode_to_rules(ex.ast, g)
         assert trees_equal(decode_from_rules(rules, g, ex.ast.symbol), ex.ast)
@@ -128,8 +126,6 @@ def test_synth_corpus_descriptions_encode_slots():
 
 def test_random_tree_bounded_and_valid(fixture_grammar):
     rng = np.random.default_rng(0)
-    from rulegen.ast_tree import encode_to_rules
-
     for _ in range(100):
         tree = random_tree(fixture_grammar, rng, max_depth=5)
         encode_to_rules(tree, fixture_grammar)  # must not raise

@@ -54,7 +54,9 @@ def test_shortcut_identity_even_layers():
     store = make_stack("m/", 6, d, zero=True)
     rng = np.random.default_rng(3)
     y0 = ad.Tensor(np.abs(rng.standard_normal((4, d))))
-    outs = shortcut_cnn(store, "m/", y0, 6, 2, collect=True)
+    # layer l reads conv{l}, so a stack of l layers gives layer l
+    outs = [y0] + [shortcut_cnn(store, "m/", y0, layers, 2)
+                   for layers in range(1, 7)]
     # odd layers collapse to zero; every even layer must equal the
     # layer-two-below input exactly
     assert np.array_equal(outs[2].data, y0.data)
@@ -104,5 +106,6 @@ def test_shape_preserved_at_every_layer():
     d, layers = 4, 5
     store = make_stack("m/", layers, d, zero=False, seed=5)
     y0 = ad.Tensor(np.random.default_rng(0).standard_normal((7, d)))
-    outs = shortcut_cnn(store, "m/", y0, layers, 2, collect=True)
+    outs = [y0] + [shortcut_cnn(store, "m/", y0, top, 2)
+                   for top in range(1, layers + 1)]
     assert all(o.shape == (7, d) for o in outs)

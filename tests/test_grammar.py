@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rulegen.ast_tree import AstNode
+from rulegen.ast_tree import AstNode, PartialAst
 from rulegen.grammar import (
     COPY_TERMINAL_NAME,
     Grammar,
@@ -14,14 +14,13 @@ from rulegen.grammar import (
     StructuralInputError,
     Symbol,
     TERMINAL,
-    UncoverableSymbolError,
     VARIABLE,
     copy_terminal_symbol,
     grammar_from_json,
     grammar_to_json,
     induce_grammar,
-    valid_rule_mask,
 )
+from rulegen.model import DeadEndError, DecoderState
 
 NT = lambda n, c=STRUCTURAL: Symbol(n, NONTERMINAL, c)
 T = lambda n: Symbol(n, TERMINAL)
@@ -41,8 +40,6 @@ def test_two_if_trees_yield_two_distinct_rules():
     if_rules = [g.rules[i] for i in g.lhs_index["If"]]
     assert len(if_rules) == 2
     assert sorted(len(r.rhs) for r in if_rules) == [3, 4]
-    mask = valid_rule_mask(g, if_sym)
-    assert mask.sum() == 2
 
 
 def test_minimal_corpus_single_terminal_rule():
@@ -66,22 +63,31 @@ def test_fixture_matches_manifest(fixture_grammar, manifest):
     assert g.start_symbol.name == manifest["start"]
 
 
-def test_mask_soundness(fixture_grammar):
+def predict_one_node(model, sym):
+    """Model.predict on a one-node tree of ``sym`` with no slots."""
+    state = DecoderState((), PartialAst.from_root(AstNode(sym)), ())
+    enc, ctrl = model.encode("init v a")
+    return model.predict(state, enc, ctrl).data
+
+
+def test_mask_soundness(small_model, fixture_grammar):
     g = fixture_grammar
     for name, sym in g.symbols.items():
         if sym.kind != NONTERMINAL:
             continue
-        mask = valid_rule_mask(g, sym)
+        logp = predict_one_node(small_model, sym)
+        assert logp.shape == (g.num_rules,)
         for i, r in enumerate(g.rules):
-            assert mask[i] == (r.lhs.name == name)
-        assert mask.sum() == len(g.lhs_index[name])
+            assert np.isfinite(logp[i]) == (r.lhs.name == name)
+        assert np.flatnonzero(np.isfinite(logp)).tolist() == list(
+            g.lhs_index[name])
 
 
-def test_mask_uncoverable_symbol(fixture_grammar):
-    with pytest.raises(UncoverableSymbolError):
-        valid_rule_mask(fixture_grammar, NT("NoSuch"))
-    with pytest.raises(GrammarError):
-        valid_rule_mask(fixture_grammar, T("tok"))
+def test_mask_uncoverable_symbol(small_model):
+    with pytest.raises(DeadEndError):
+        predict_one_node(small_model, NT("NoSuch"))
+    with pytest.raises(DeadEndError):
+        predict_one_node(small_model, NT("NoSuch", VARIABLE))
 
 
 def test_induction_is_deterministic(six_examples):

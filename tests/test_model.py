@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import trees_equal
 from rulegen import autodiff as ad
-from rulegen.ast_tree import encode_to_rules
+from rulegen.ast_tree import AstNode, PartialAst, encode_to_rules
 from rulegen.config import RunConfig
-from rulegen.grammar import VARIABLE
+from rulegen.grammar import NONTERMINAL, VARIABLE, Symbol
 from rulegen.model import (
     AGGREGATE_ORDER,
     DeadEndError,
+    DecoderState,
     Model,
     advance,
     attentive_pool,
@@ -15,7 +17,6 @@ from rulegen.model import (
     initial_state,
     vocabs_from_examples,
 )
-from rulegen.training import derivation_targets
 
 
 def predict_probs(model, state, description="init v a", slots=None):
@@ -152,15 +153,18 @@ def test_share_heads_single_parameter_family(six_examples, fixture_grammar):
 
 
 def test_dead_end_without_rules_or_slots(small_model, fixture_grammar):
-    # frontier V with no slots still has V's terminal rules -> no dead end;
-    # force one by draining the mask via a grammar-less symbol is impossible
-    # here, so check the complete-tree guard instead.
+    # a frontier symbol with no rules and no slots to copy is a dead end;
+    # so is a complete tree, which has no frontier at all
+    enc, ctrl = small_model.encode("init v a")
+    orphan = Symbol("NoSuch", NONTERMINAL, VARIABLE)
+    state = DecoderState((), PartialAst.from_root(AstNode(orphan)), ())
+    with pytest.raises(DeadEndError):
+        small_model.predict(state, enc, ctrl)
     g = fixture_grammar
     state = initial_state(g, slots=[])
     for rid in [0, 1, 2, 3, 4]:
         state = advance(state, rid, g)
     assert state.partial_ast.complete
-    enc, ctrl = small_model.encode("init v a")
     with pytest.raises(DeadEndError):
         small_model.predict(state, enc, ctrl)
 
@@ -183,7 +187,7 @@ def test_reference_pipeline_oracle(small_model, six_examples, fixture_grammar):
     logp = m.predict(state, enc, ctrl).data
 
     head = "function_name"
-    agg = m.aggregate(state, enc, ctrl, head).data
+    agg = m.aggregate([state], enc, ctrl, head).data[0]
     w1, b1 = m.store[f"{head}/mlp_w1"].data, m.store[f"{head}/mlp_b1"].data
     w2, b2 = m.store[f"{head}/mlp_w2"].data, m.store[f"{head}/mlp_b2"].data
     h = np.maximum(w1 @ agg + b1, 0.0)
@@ -203,7 +207,7 @@ def test_loss_sanity_near_uniform_at_init(small_model, six_examples,
     total = expect = 0.0
     steps = 0
     for ex in six_examples:
-        targets = derivation_targets(ex, g, use_copy=True)
+        targets = encode_to_rules(ex.ast, g, ex.slot_values())
         enc, ctrl = small_model.encode(ex.description)
         state = initial_state(g, ex.slots)
         for t in targets:
@@ -216,12 +220,10 @@ def test_loss_sanity_near_uniform_at_init(small_model, six_examples,
 
 
 def test_teacher_forced_state_matches_replay(six_examples, fixture_grammar):
-    from rulegen.ast_tree import PartialAst, AstNode, trees_equal
-
     g = fixture_grammar
     for ex in six_examples:
-        targets = derivation_targets(ex, g, use_copy=False)
-        assert targets == encode_to_rules(ex.ast, g)
+        targets = encode_to_rules(ex.ast, g)
+        assert all(t < g.num_rules for t in targets)  # no slots, no copies
         state = initial_state(g, ex.slots)
         for t in targets:
             state = advance(state, t, g)
@@ -249,6 +251,36 @@ def test_load_rejects_wrong_grammar(small_model, six_examples, tmp_path):
     other = induce_grammar([six_examples[0].ast])
     with pytest.raises(CheckpointError):
         Model.load(path, other)
+
+
+def drop_param(store, name):
+    for table in (store.params, store.moments_m, store.moments_v):
+        del table[name]
+
+
+def reshape_flag(store):
+    drop_param(store, "emb/flag")
+    store.add("emb/flag", np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda store: drop_param(store, "emb/flag"),
+     "checkpoint lacks parameter 'emb/flag'"),
+    (lambda store: store.add("extra/w", np.zeros((2, 2))),
+     "checkpoint has unexpected parameter 'extra/w'"),
+    (reshape_flag, "checkpoint parameter 'emb/flag' has shape (4, 4), "
+     "the config needs (2, 8)"),
+], ids=["missing", "extra", "misshapen"])
+def test_load_rejects_a_parameter_layout_the_config_does_not_need(
+        small_model, fixture_grammar, tmp_path, change, message):
+    from rulegen.params import CheckpointError
+
+    change(small_model.store)
+    path = tmp_path / "model.bin"
+    small_model.save(path)
+    with pytest.raises(CheckpointError) as e:
+        Model.load(path, fixture_grammar)
+    assert str(e.value) == message
 
 
 def test_grammar_hash_stable(fixture_grammar):

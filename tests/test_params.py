@@ -65,11 +65,11 @@ def test_adam_shape_mismatch_raises():
 
 def test_xavier_bounds_and_embedding_range():
     rng = np.random.default_rng(0)
-    w = xavier_uniform(rng, 64, 32)
+    w = xavier_uniform(rng, (64, 32))
     limit = np.sqrt(6.0 / 96)
     assert w.shape == (64, 32)
     assert np.all(np.abs(w) <= limit)
-    e = embedding_init(rng, 10, 8)
+    e = embedding_init(rng, (10, 8))
     assert np.all(np.abs(e) <= 0.05)
 
 

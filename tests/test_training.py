@@ -3,13 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from rulegen.ast_tree import token_yield
+from rulegen.ast_tree import encode_to_rules, token_yield
 from rulegen.config import RunConfig
 from rulegen.data import synth_corpus
 from rulegen.grammar import MissingRuleError, induce_grammar
 from rulegen.model import Model, vocabs_from_examples
 from rulegen.training import (
-    derivation_targets,
     evaluate,
     example_loss,
     train,
@@ -26,8 +25,8 @@ def tiny():
 def test_derivation_targets_prefer_copy(tiny):
     exs, g = tiny
     ex = exs[0]
-    with_copy = derivation_targets(ex, g, use_copy=True)
-    without = derivation_targets(ex, g, use_copy=False)
+    with_copy = encode_to_rules(ex.ast, g, ex.slot_values())
+    without = encode_to_rules(ex.ast, g)
     assert len(with_copy) == len(without)
     assert any(t >= g.num_rules for t in with_copy)
     assert all(t < g.num_rules for t in without)
@@ -39,7 +38,7 @@ def test_derivation_targets_missing_rule(tiny):
                          value_prefix="unseen")[0]
     stripped = type(other)(other.id, other.description, [], other.ast)
     with pytest.raises(MissingRuleError):
-        derivation_targets(stripped, g, use_copy=True)
+        encode_to_rules(stripped.ast, g, stripped.slot_values())
 
 
 def test_example_loss_positive_and_counts_steps(tiny):
@@ -47,7 +46,7 @@ def test_example_loss_positive_and_counts_steps(tiny):
     cfg = RunConfig(dim=8, layers=3, mlp_hidden=8, dropout=0.0, seed=0)
     tv, terms, slots = vocabs_from_examples(exs)
     model = Model(g, cfg, tv, terms, slots, dtype=np.float64, seed=0)
-    targets = derivation_targets(exs[0], g, use_copy=True)
+    targets = encode_to_rules(exs[0].ast, g, exs[0].slot_values())
     loss, n = example_loss(model, exs[0], targets, train=False)
     assert n == len(targets)
     assert loss.item() > 0
