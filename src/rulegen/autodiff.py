@@ -99,46 +99,19 @@ def _make(data, parents, backward_fn, what):
     return Tensor(data, parents=parents, backward_fn=backward_fn)
 
 
-def constant(array, dtype=None) -> Tensor:
-    return Tensor(np.asarray(array, dtype=dtype))
-
-
 def matmul(a: Tensor, b: Tensor, transpose_b=False) -> Tensor:
-    """a @ b, or a @ b.T for two matrices when ``transpose_b``."""
-    if transpose_b:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ShapeError(f"matmul {a.shape} @ {b.shape}.T")
-        out = a.data @ b.data.T
+    """a @ b, or a @ b.T when ``transpose_b``; both are matrices."""
+    bm = b.data.T if transpose_b else b.data
+    if a.data.ndim != 2 or bm.ndim != 2 or a.shape[1] != bm.shape[0]:
+        raise ShapeError(f"matmul {a.shape} @ {b.shape}"
+                         + (".T" if transpose_b else ""))
+    out = a.data @ bm
 
-        def bw(g):
+    def bw(g):
+        if transpose_b:
             return g @ b.data, g.T @ a.data
+        return g @ bm.T, a.data.T @ g
 
-    elif a.data.ndim == 2 and b.data.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-        out = a.data @ b.data
-
-        def bw(g):
-            return g @ b.data.T, a.data.T @ g
-
-    elif a.data.ndim == 2 and b.data.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-        out = a.data @ b.data
-
-        def bw(g):
-            return np.outer(g, b.data), a.data.T @ g
-
-    elif a.data.ndim == 1 and b.data.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-        out = a.data @ b.data
-
-        def bw(g):
-            return b.data @ g, np.outer(a.data, g)
-
-    else:
-        raise ShapeError(f"matmul unsupported ranks {a.shape} @ {b.shape}")
     return _make(out, (a, b), bw, "matmul")
 
 

@@ -16,6 +16,7 @@ from .data import (
     DatasetError,
     example_from_line,
     load_dataset,
+    read_lines,
     save_dataset,
     synth_corpus,
 )
@@ -40,10 +41,11 @@ class CliError(Exception):
 
 def _read_text(path):
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        return "\n".join(read_lines(path))
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}", EXIT_IO)
+    except DatasetError as e:
+        raise CliError(str(e), EXIT_VALIDATION)
 
 
 def _write_text(path, text):
@@ -201,8 +203,7 @@ def cmd_gradcheck(args):
     for label, overrides in variants:
         report = run_full_check(dims=args.dims, layers=args.layers,
                                 samples_per_tensor=args.samples,
-                                seed=args.seed, corrupt=args.corrupt,
-                                **overrides)
+                                seed=args.seed, **overrides)
         worst = max(report.values())
         status = "ok" if worst < TOLERANCE else "FAIL"
         print(f"model[{label}] max {worst:.3e} {status}")
@@ -214,6 +215,14 @@ def cmd_gradcheck(args):
         print(f"gradcheck failed: {len(failures)} group(s) over {TOLERANCE}")
         return EXIT_GRADCHECK
     return EXIT_OK
+
+
+def positive_int(text):
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -240,7 +249,8 @@ def build_parser():
     gen.add_argument("--grammar", required=True)
     gen.add_argument("--input", required=True,
                      help="description text or path to a one-record file")
-    gen.add_argument("--beam", type=int, default=None)
+    gen.add_argument("--beam", type=positive_int, default=None,
+                     help="beam size (default: the checkpoint config's)")
     gen.add_argument("--slot", action="append",
                      help="name=value, repeatable (text input only)")
     gen.add_argument("--show-ast", action="store_true")
@@ -272,8 +282,6 @@ def build_parser():
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--all-variants", action="store_true",
                     help="also check every ablation toggle one at a time")
-    gc.add_argument("--corrupt", action="store_true",
-                    help="fault-injection hook: corrupt one gradient")
     gc.set_defaults(fn=cmd_gradcheck)
     return p
 

@@ -1,6 +1,9 @@
 """Run configuration: architecture dims, training schedule, and the
 ablation toggles. The JSON form round-trips losslessly and unknown keys
-are rejected so a typo cannot silently fall back to a default."""
+are rejected so a typo cannot silently fall back to a default. Each value
+must have its field's type: an int field takes no bool, a float field
+also takes an int (kept as given, so the config hash does not change),
+and a bool field takes only a bool."""
 from __future__ import annotations
 
 import dataclasses
@@ -24,6 +27,9 @@ ABLATION_TOGGLES = (
     "share_heads",
     "no_copy",
 )
+
+# accepted value types per annotated field type
+_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -60,6 +66,12 @@ class RunConfig:
     no_copy: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _TYPES[f.type])
+                    or (isinstance(value, bool) and f.type != "bool")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {value!r}")
         for name in ("layers", "window", "dim", "mlp_hidden", "epochs",
                      "accumulation_window", "eval_interval", "patience",
                      "beam_size", "max_decode_steps"):

@@ -112,22 +112,33 @@ def example_from_line(line: str) -> Example:
     return Example(doc["id"], doc["description"], slots, ast)
 
 
+def read_lines(path):
+    """The lines of a UTF-8 text file, split at universal newlines; a line
+    that is not UTF-8 raises DatasetError naming the file and the line."""
+    with open(path, "rb") as f:
+        raw_lines = f.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"{path}:{lineno}: not UTF-8 text: {e}") from e
+
+
 def load_dataset(path) -> list:
     examples = []
     ids = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ex = example_from_line(line)
-            except (json.JSONDecodeError, DatasetError, ValueError) as e:
-                raise DatasetError(f"{path}:{lineno}: {e}") from e
-            if ex.id in ids:
-                raise DatasetError(f"{path}:{lineno}: duplicate id {ex.id!r}")
-            ids.add(ex.id)
-            examples.append(ex)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            ex = example_from_line(line)
+        except (json.JSONDecodeError, DatasetError, ValueError) as e:
+            raise DatasetError(f"{path}:{lineno}: {e}") from e
+        if ex.id in ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate id {ex.id!r}")
+        ids.add(ex.id)
+        examples.append(ex)
     if not examples:
         raise DatasetError(f"{path}: empty dataset")
     return examples
@@ -144,12 +155,12 @@ def save_dataset(examples, path):
 _T = Symbol("tok", TERMINAL)
 
 
-def _term(nonterminal: Symbol, value: str, scope=None) -> AstNode:
-    return AstNode(nonterminal, None, (AstNode(_T, value),), scope)
+def _term(nonterminal: Symbol, value: str) -> AstNode:
+    return AstNode(nonterminal, None, (AstNode(_T, value),))
 
 
 def synth_corpus(num_ops=3, max_depth=2, count=20, seed=0,
-                 value_prefix="val", value_base=0):
+                 value_prefix="val"):
     """Deterministic toy corpus: the description spells out the
     derivation token by token, so a correct model can reach 100%.
 
@@ -174,7 +185,7 @@ def synth_corpus(num_ops=3, max_depth=2, count=20, seed=0,
         depth = int(rng.integers(0, max_depth + 1))
         ops = [int(rng.integers(num_ops)) for _ in range(depth)]
         wj = w_pool[int(rng.integers(len(w_pool)))]
-        value = f"{value_prefix}{value_base + n}"
+        value = f"{value_prefix}{n}"
 
         expr = _term(w_sym, wj)
         expr = AstNode(e_sym, None, (expr,))
@@ -188,7 +199,7 @@ def synth_corpus(num_ops=3, max_depth=2, count=20, seed=0,
         )
         desc_tokens = [fn] + [f"d{i}" for i in ops] + [wj, "name", value]
         examples.append(Example(
-            id=f"syn{value_base + n}",
+            id=f"syn{n}",
             description=" ".join(desc_tokens),
             slots=[("name", value)],
             ast=tree,

@@ -48,17 +48,19 @@ def _sort_key(h: Hypothesis):
     return (-h.log_prob, h.state.rule_trace)
 
 
-def beam_search(model: Model, description: str, slots=(), beam_size=None,
-                max_steps=None) -> DecodeResult:
+def beam_search(model: Model, description: str, slots=(),
+                beam_size=None) -> DecodeResult:
+    """Decode ``description`` with ``beam_size`` hypotheses (the config's
+    beam size when None) within the config's step budget."""
     cfg = model.config
-    beam_size = beam_size or cfg.beam_size
-    max_steps = max_steps or cfg.max_decode_steps
+    if beam_size is None:
+        beam_size = cfg.beam_size
     grammar = model.grammar
     enc_feats, ctrl = model.encode(description, train=False)
 
     start = Hypothesis(initial_state(grammar, slots), 0.0)
     beam = [start]
-    for _ in range(max_steps):
+    for _ in range(cfg.max_decode_steps):
         if all(h.complete for h in beam):
             break
         candidates = []

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+MAX_N = 4  # BLEU-4: n-grams of orders 1..4
+
 
 def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
@@ -27,14 +29,14 @@ def string_accuracy(predictions, golds) -> float:
     return hits / len(golds)
 
 
-def bleu(predictions, golds, max_n=4) -> float:
+def bleu(predictions, golds) -> float:
     if len(predictions) != len(golds):
         raise ValueError(
             f"{len(predictions)} predictions vs {len(golds)} references")
     if not golds:
         raise ValueError("empty corpus")
-    match = [0] * (max_n + 1)
-    total = [0] * (max_n + 1)
+    match = [0] * (MAX_N + 1)
+    total = [0] * (MAX_N + 1)
     cand_len = 0
     ref_len = 0
     for pred, gold in zip(predictions, golds):
@@ -42,7 +44,7 @@ def bleu(predictions, golds, max_n=4) -> float:
         gold = list(gold)
         cand_len += len(pred)
         ref_len += len(gold)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             pc = _ngram_counts(pred, n)
             gc = _ngram_counts(gold, n)
             total[n] += sum(pc.values())
@@ -50,7 +52,7 @@ def bleu(predictions, golds, max_n=4) -> float:
     if cand_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         smooth = 1 if n >= 2 else 0
         num = match[n] + smooth
         den = total[n] + smooth
@@ -58,4 +60,4 @@ def bleu(predictions, golds, max_n=4) -> float:
             return 0.0
         log_sum += math.log(num / den)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / MAX_N)

@@ -109,14 +109,11 @@ def attentive_pool(candidates, controller, weight, lengths=None):
     """Softmax-weighted sum of rows; weights from the bilinear logits
     y_i^T W c. A zero controller degenerates to the unweighted mean.
 
-    A vector controller pools every candidate into one vector. A (T, d)
-    controller pools once per row into a (T, d) matrix: row t over
-    segment t of the packed candidates when ``lengths`` is given, over
-    all candidates otherwise.
+    A (T, d) controller pools once per row into a (T, d) matrix: row t
+    over segment t of the packed candidates when ``lengths`` is given,
+    over all candidates otherwise.
     """
     keys = ad.matmul(candidates, weight)
-    if controller.data.ndim == 1:
-        return ad.matmul(ad.softmax(ad.matmul(keys, controller)), candidates)
     mask = None
     if lengths is not None and len(lengths) > 1:
         mask = _segment_mask(lengths)
@@ -171,16 +168,12 @@ class Model:
     def _copy_head(self) -> str:
         return self.head_for(VARIABLE)
 
-    def aggregate_width(self) -> int:
+    def aggregate_slots(self):
+        """The entries of AGGREGATE_ORDER this config has, in that order."""
         cfg = self.config
-        parts = 6
-        if cfg.no_rule_cnn:
-            parts -= 1
-        if cfg.no_treepath_cnn:
-            parts -= 1
-        if cfg.extra_treeconv_pool:
-            parts += 1
-        return parts * cfg.dim
+        absent = {"att_rule": cfg.no_rule_cnn, "att_path": cfg.no_treepath_cnn,
+                  "att_ast": not cfg.extra_treeconv_pool}
+        return [s for s in AGGREGATE_ORDER if not absent.get(s)]
 
     def param_layout(self):
         """(name, shape, initializer) of every parameter, in store order;
@@ -206,10 +199,8 @@ class Model:
                 layout.append((f"{prefix}conv{layer}", (k * d, d),
                                xavier_uniform))
 
-        def square(name):
-            layout.append((name, (d, d), xavier_uniform))
-
         convs("enc/")
+        slots = self.aggregate_slots()
         for head in self.heads:
             if not cfg.no_rule_cnn:
                 convs(f"{head}/rule/")
@@ -222,17 +213,12 @@ class Model:
             if not cfg.no_treepath_cnn:
                 convs(f"{head}/path/")
             if not cfg.attention_to_maxpool:
-                if not cfg.no_rule_cnn:
-                    square(f"{head}/att_rule")
-                if not cfg.no_treepath_cnn:
-                    square(f"{head}/att_path")
-                square(f"{head}/att_pre")
-                square(f"{head}/att_enc")
-                if cfg.extra_treeconv_pool:
-                    square(f"{head}/att_ast")
+                for slot in slots:
+                    if slot.startswith("att_"):
+                        layout.append((f"{head}/{slot}", (d, d),
+                                       xavier_uniform))
             layout += [
-                (f"{head}/mlp_w1", (hidden, self.aggregate_width()),
-                 xavier_uniform),
+                (f"{head}/mlp_w1", (hidden, len(slots) * d), xavier_uniform),
                 (f"{head}/mlp_b1", (hidden,), zeros_init),
                 (f"{head}/mlp_w2", (g.num_rules, hidden), xavier_uniform),
                 (f"{head}/mlp_b2", (g.num_rules,), zeros_init),
@@ -290,7 +276,7 @@ class Model:
         if not self.config.no_scope:
             rows = [self.scope_index.get(s.scope()) for s in states]
         if all(r is None for r in rows):
-            return ad.constant(np.zeros((n, self.config.dim), dtype=self.dtype))
+            return ad.Tensor(np.zeros((n, self.config.dim), dtype=self.dtype))
         emb = ad.embedding(self.store["emb/scope"],
                            [0 if r is None else r for r in rows])
         if any(r is None for r in rows):
@@ -405,11 +391,12 @@ class Model:
         y_ast, node_lengths, units = self.ast_features(states, head)
         feats_pre, pre_lengths = self.preorder_features(y_ast, node_lengths,
                                                         units, head)
+        slots = self.aggregate_slots()
         parts = {}
-        if not cfg.no_rule_cnn:
+        if "att_rule" in slots:
             parts["att_rule"] = self._pool(*self.rule_features(states, head),
                                            ctrl_a, f"{head}/att_rule")
-        if not cfg.no_treepath_cnn:
+        if "att_path" in slots:
             parts["att_path"] = self._pool(*self.path_features(states, head),
                                            ctrl_a, f"{head}/att_path")
         parts["att_pre"] = self._pool(feats_pre, pre_lengths, ctrl_b,
@@ -421,11 +408,10 @@ class Model:
                                               self.store[f"{head}/att_enc"])
         parts["max_enc"] = ctrl_a
         parts["max_pre"] = ad.segment_max(feats_pre, pre_lengths)
-        if cfg.extra_treeconv_pool:
+        if "att_ast" in slots:
             parts["att_ast"] = self._pool(y_ast, node_lengths, ctrl_b,
                                           f"{head}/att_ast")
-        return ad.concat([parts[k] for k in AGGREGATE_ORDER if k in parts],
-                         axis=1)
+        return ad.concat([parts[s] for s in slots], axis=1)
 
     def _head_logits(self, states, enc_feats, enc_controller, head, width,
                      train, rng):
@@ -451,8 +437,7 @@ class Model:
             carrier = ad.matmul(h, self.store[f"{head}/copy_w"])
             copy = ad.matmul(carrier, slot_rows, transpose_b=True)
         else:
-            copy = ad.constant(np.zeros((len(states), copies),
-                                        dtype=self.dtype))
+            copy = ad.Tensor(np.zeros((len(states), copies), dtype=self.dtype))
         return ad.concat([logits, copy], axis=1)
 
     def predict(self, states, enc_feats, enc_controller, train=False,
@@ -508,7 +493,7 @@ class Model:
 
     # -- persistence ------------------------------------------------------
 
-    def save(self, path, include_optimizer=True):
+    def save(self, path):
         extras = {
             "config": json.loads(self.config.to_json()),
             "config_hash": self.config.hash(),
@@ -518,13 +503,11 @@ class Model:
             "slot_name_vocab": self.slot_name_vocab,
             "seed": self.config.seed,
         }
-        save_params(self.store, path, extras=extras,
-                    include_optimizer=include_optimizer)
+        save_params(self.store, path, extras=extras)
 
     @classmethod
-    def load(cls, path, grammar: Grammar, dtype=np.float32,
-             check_grammar=True):
-        store, header = load_params(path, dtype=dtype)
+    def load(cls, path, grammar: Grammar):
+        store, header = load_params(path)
         extras = header.get("extras")
         fields = ("config", "token_vocab", "terminal_vocab", "slot_name_vocab")
         if not isinstance(extras, dict) or any(f not in extras for f in fields):
@@ -536,11 +519,11 @@ class Model:
             raise CheckpointError(f"checkpoint config: {e}") from e
         if extras.get("config_hash") != config.hash():
             raise CheckpointError("checkpoint config hash mismatch")
-        if check_grammar and extras.get("grammar_hash") != grammar_hash(grammar):
+        if extras.get("grammar_hash") != grammar_hash(grammar):
             raise CheckpointError("checkpoint was trained on a different grammar")
         vocab = TokenVocab(extras["token_vocab"][2:])
         model = cls(grammar, config, vocab, extras["terminal_vocab"],
-                    extras["slot_name_vocab"], dtype=dtype, store=store)
+                    extras["slot_name_vocab"], store=store)
         model._check_layout()
         return model
 

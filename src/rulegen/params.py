@@ -3,8 +3,8 @@
 Checkpoint layout: a single JSON header line (format version, parameter
 manifest, precision, optimizer flag, plus caller extras such as vocab
 and config hash), then raw little-endian float32 values in manifest
-order. Full checkpoints append the Adam moment tensors in the same
-order.
+order, then the Adam moments in the same order (absent, and loaded as
+zeros, when the header's optimizer flag is false).
 """
 from __future__ import annotations
 
@@ -15,6 +15,9 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
@@ -69,7 +72,7 @@ def zeros_init(rng, shape) -> np.ndarray:
     return np.zeros(shape)
 
 
-def adam_step(store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(store: ParamStore, lr=1e-3):
     """One bias-corrected Adam update over every parameter.
 
     Parameters without an accumulated gradient are treated as having a
@@ -85,24 +88,24 @@ def adam_step(store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
             raise ShapeError(f"gradient shape {g.shape} for {name} {p.data.shape}")
         m = store.moments_m[name]
         v = store.moments_v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
-def save_params(store: ParamStore, path, extras=None, include_optimizer=True):
+def save_params(store: ParamStore, path, extras=None):
     manifest = [{"name": n, "shape": list(store.params[n].shape)}
                 for n in store.params]
     header = {
         "format_version": CHECKPOINT_VERSION,
         "precision": "float32",
         "params": manifest,
-        "optimizer": bool(include_optimizer),
-        "adam_step": store.step if include_optimizer else 0,
+        "optimizer": True,
+        "adam_step": store.step,
     }
     if extras:
         header["extras"] = extras
@@ -110,17 +113,15 @@ def save_params(store: ParamStore, path, extras=None, include_optimizer=True):
     chunks = [blob]
     for n in store.params:
         chunks.append(store.params[n].data.astype("<f4").tobytes())
-    if include_optimizer:
+    for moments in (store.moments_m, store.moments_v):
         for n in store.params:
-            chunks.append(store.moments_m[n].astype("<f4").tobytes())
-        for n in store.params:
-            chunks.append(store.moments_v[n].astype("<f4").tobytes())
+            chunks.append(moments[n].astype("<f4").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 
-def load_params(path, dtype=np.float32):
-    """Read a checkpoint; returns (store, header)."""
+def load_params(path):
+    """Read a checkpoint into a float32 store; returns (store, header)."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -135,7 +136,7 @@ def load_params(path, dtype=np.float32):
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('format_version')}")
-    store = ParamStore(dtype=dtype)
+    store = ParamStore()
     body = raw[nl + 1:]
     pos = 0
 

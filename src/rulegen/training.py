@@ -86,10 +86,9 @@ class TrainResult:
 
 
 def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
-          out_dir=None, dtype=np.float32, log_print=False) -> TrainResult:
+          out_dir=None, log_print=False) -> TrainResult:
     token_vocab, terminals, slot_names = vocabs_from_examples(train_examples)
-    model = Model(grammar, config, token_vocab, terminals, slot_names,
-                  dtype=dtype, seed=config.seed)
+    model = Model(grammar, config, token_vocab, terminals, slot_names)
     rng = np.random.default_rng(config.seed + 1)
 
     usable = []

@@ -161,21 +161,21 @@ def test_criterion_5_attention_laws(criterion):
             n = int(rng.integers(1, 9))
             y = rng.standard_normal((n, d))
             w = rng.standard_normal((d, d))
-            c = rng.standard_normal(d)
+            c = rng.standard_normal((1, d))
             pooled = attentive_pool(ad.Tensor(y), ad.Tensor(c),
-                                    ad.Tensor(w)).data
-            logits = y @ w @ c
+                                    ad.Tensor(w)).data[0]
+            logits = y @ w @ c[0]
             alpha = np.exp(logits - logits.max())
             alpha /= alpha.sum()
             assert abs(alpha.sum() - 1.0) <= 1e-6
             assert np.allclose(pooled, alpha @ y, atol=1e-9)
             # zero controller: uniform weights, i.e. the plain mean
-            zero = attentive_pool(ad.Tensor(y), ad.Tensor(np.zeros(d)),
-                                  ad.Tensor(w)).data
+            zero = attentive_pool(ad.Tensor(y), ad.Tensor(np.zeros((1, d))),
+                                  ad.Tensor(w)).data[0]
             assert np.max(np.abs(zero - y.mean(axis=0))) < 1e-9
             # a single candidate comes back exactly
             one = attentive_pool(ad.Tensor(y[:1]), ad.Tensor(c),
-                                 ad.Tensor(w)).data
+                                 ad.Tensor(w)).data[0]
             assert np.array_equal(one, y[0])
 
     criterion(5, "attention pooling laws", check)

@@ -110,14 +110,14 @@ def test_packed_attentive_pool_matches_one_pool_per_segment():
                             lengths).data
     starts = np.cumsum([0] + lengths[:-1])
     for t, (s, n) in enumerate(zip(starts, lengths)):
-        alone = attentive_pool(ad.Tensor(y[s:s + n]), ad.Tensor(c[t]),
-                               ad.Tensor(w)).data
+        alone = attentive_pool(ad.Tensor(y[s:s + n]), ad.Tensor(c[t:t + 1]),
+                               ad.Tensor(w)).data[0]
         assert np.allclose(packed[t], alone, rtol=1e-12, atol=1e-15)
     # without lengths every row pools over all candidates
     shared = attentive_pool(ad.Tensor(y), ad.Tensor(c), ad.Tensor(w)).data
     for t in range(len(lengths)):
-        alone = attentive_pool(ad.Tensor(y), ad.Tensor(c[t]),
-                               ad.Tensor(w)).data
+        alone = attentive_pool(ad.Tensor(y), ad.Tensor(c[t:t + 1]),
+                               ad.Tensor(w)).data[0]
         assert np.allclose(shared[t], alone, rtol=1e-12, atol=1e-15)
 
 
@@ -157,5 +157,6 @@ def test_dropout_masks_are_drawn_per_head_group_in_head_order():
         n = sum(s.partial_ast.frontier.symbol.node_class == head
                 for s in states)
         if n:
-            want += [(n, model.aggregate_width()), (n, 4)]
+            want += [(n, len(model.aggregate_slots()) * model.config.dim),
+                     (n, 4)]
     assert rng.shapes == want

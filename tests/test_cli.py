@@ -4,9 +4,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rulegen
+from rulegen import autodiff as ad
 from rulegen.cli import main
 from rulegen.config import RunConfig
 
@@ -192,6 +194,70 @@ def test_checkpoint_layout_mismatch_exits_2(workdir, tmp_path, edit, named):
     assert named in stderr
 
 
+def default_args(workdir, tmp_path, command):
+    """flag -> value of a valid call of ``command`` on the shared run."""
+    data, run_dir = workdir / "data", workdir / "run"
+    return {
+        "extract-grammar": {"--data": data / "train.jsonl",
+                            "--out": tmp_path / "g.json"},
+        "train": {"--data": data / "train.jsonl",
+                  "--grammar": data / "grammar.json",
+                  "--config": workdir / "config.json",
+                  "--out-dir": tmp_path / "out"},
+        "generate": {"--checkpoint": run_dir / "checkpoint.bin",
+                     "--grammar": data / "grammar.json",
+                     "--input": "whatever"},
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, source", [
+    ("extract-grammar", "--data", "data/train.jsonl"),
+    ("train", "--data", "data/train.jsonl"),
+    ("train", "--config", "config.json"),
+    ("generate", "--grammar", "data/grammar.json"),
+    ("generate", "--input", "data/train.jsonl"),
+], ids=["dataset_extract", "dataset_train", "config", "grammar", "input"])
+def test_input_file_that_is_not_utf8_exits_2(workdir, tmp_path, command, flag,
+                                             source):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + (workdir / source).read_bytes())
+    args = dict(default_args(workdir, tmp_path, command), **{flag: bad})
+    stderr = cli_rejects(command, *[x for pair in args.items() for x in pair])
+    assert f"{bad}:1: not UTF-8" in stderr
+
+
+@pytest.mark.parametrize("beam", ["0", "-2"])
+def test_generate_rejects_a_beam_below_1(workdir, beam):
+    stderr = cli_rejects("generate",
+                         "--checkpoint", workdir / "run" / "checkpoint.bin",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever", "--beam", beam)
+    assert "--beam" in stderr
+
+
+def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, tmp_path):
+    bad = tmp_path / "checkpoint.bin"
+
+    def edit(header):
+        header["extras"]["config"]["mlp_hidden"] = "32"
+
+    rewrite_header(workdir / "run" / "checkpoint.bin", bad, edit)
+    stderr = cli_rejects("generate", "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever")
+    assert str(bad) in stderr
+    assert "mlp_hidden" in stderr
+
+
+def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"dim": "x"}')
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", bad, "--out-dir", tmp_path / "out")
+    assert "dim" in stderr
+
+
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 16, "mystery": true}')
@@ -301,12 +367,20 @@ def test_evaluate_trained_model_scores(workdir, tmp_path, capsys):
     assert acc == 1.0  # trained to memorization by the fixture
 
 
-def test_gradcheck_ok_and_corrupt(capsys):
+def relu_with_wrong_backward(x):
+    """``ad.relu`` whose backward passes the gradient through unmasked
+    and doubled."""
+    out = np.maximum(x.data, 0)
+    return ad.Tensor(out, parents=(x,), backward_fn=lambda g: (2.0 * g,))
+
+
+def test_gradcheck_ok_and_corrupt(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "gradcheck", "--dims", "3", "--layers", "3",
                           "--samples", "2")
     assert code == 0
     assert "ok" in stdout
+    monkeypatch.setattr(ad, "relu", relu_with_wrong_backward)
     code, stdout, _ = run(capsys, "gradcheck", "--dims", "3", "--layers", "3",
-                          "--samples", "2", "--corrupt")
+                          "--samples", "2")
     assert code == 5
     assert "FAIL" in stdout

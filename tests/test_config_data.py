@@ -43,6 +43,33 @@ def test_config_validation():
         RunConfig.from_json("not json")
 
 
+WRONG_TYPES = {
+    "int_as_string": ("dim", "x"),
+    "int_as_bool": ("layers", True),
+    "int_as_float": ("beam_size", 2.0),
+    "float_as_string": ("dropout", "0.1"),
+    "float_as_bool": ("lr", True),
+    "float_as_null": ("l2", None),
+    "bool_as_int": ("no_copy", 1),
+    "bool_as_string": ("share_heads", "true"),
+}
+
+
+@pytest.mark.parametrize("key, value", WRONG_TYPES.values(),
+                         ids=WRONG_TYPES.keys())
+def test_config_rejects_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ConfigError) as e:
+        RunConfig.from_json(json.dumps({key: value}))
+    assert key in str(e.value)
+
+
+def test_config_float_field_takes_an_int_as_given():
+    cfg = RunConfig.from_json('{"dropout": 0, "stop_at_train_acc": 1}')
+    assert cfg.dropout == 0 and isinstance(cfg.dropout, int)
+    assert '"stop_at_train_acc": 1,' in cfg.to_json()
+    assert RunConfig.from_json(cfg.to_json()).hash() == cfg.hash()
+
+
 def test_config_hash_sensitive_to_toggles():
     hashes = {RunConfig(**{t: True}).hash() for t in ABLATION_TOGGLES}
     hashes.add(RunConfig().hash())
@@ -96,6 +123,22 @@ def test_load_dataset_errors(tmp_path):
     with pytest.raises(DatasetError) as e:
         load_dataset(p)
     assert "duplicate id" in str(e.value)
+
+
+def test_load_dataset_names_a_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "d.jsonl"
+    line = example_to_line(synth_corpus(count=1)[0])
+    p.write_bytes(line.encode() + b"\n" + b"\xff" + line.encode() + b"\n")
+    with pytest.raises(DatasetError) as e:
+        load_dataset(p)
+    assert f"{p}:2: not UTF-8" in str(e.value)
+
+
+def test_load_dataset_splits_at_universal_newlines(tmp_path):
+    lines = [example_to_line(ex) for ex in synth_corpus(count=3)]
+    p = tmp_path / "d.jsonl"
+    p.write_bytes("\r\n".join(lines[:2]).encode() + b"\r" + lines[2].encode())
+    assert [ex.id for ex in load_dataset(p)] == ["syn0", "syn1", "syn2"]
 
 
 def test_save_load_roundtrip(tmp_path, six_examples):

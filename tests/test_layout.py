@@ -1,9 +1,14 @@
-"""Every top-level name in the package is used by the package itself.
+"""The package carries no code that only tests use.
 
 A function, class or constant that only tests call belongs under
 ``tests/`` (see ``tests/oracles.py``), not in ``src/rulegen/``. The names
 re-exported by ``rulegen.__all__`` and the console entry point
 ``cli.main`` are the public surface and exempt.
+
+Likewise, a defaulted parameter that no caller in the package, the
+benchmark (``perfbench/``) or the scripts ever sets is a knob only tests
+turn; its one value belongs in the function body. ``cli.main(argv)`` is
+the one exemption: the console script calls it without arguments.
 """
 import ast
 import pathlib
@@ -11,7 +16,9 @@ import pathlib
 import rulegen
 
 SRC = pathlib.Path(rulegen.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXEMPT = {("__init__.py", "__all__"), ("cli.py", "main")}
+PARAM_EXEMPT = {("cli.py", "main", "argv")}
 
 
 def top_level_names(tree):
@@ -44,9 +51,12 @@ def references(tree, skip):
     return found
 
 
+def parse(paths):
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
+
+
 def test_every_top_level_name_is_used_in_the_package():
-    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-               for p in sorted(SRC.glob("*.py"))}
+    modules = {p.name: tree for p, tree in parse(SRC.glob("*.py")).items()}
     exempt = EXEMPT | {("__init__.py", name) for name in rulegen.__all__}
     unused = []
     for module, tree in modules.items():
@@ -57,3 +67,85 @@ def test_every_top_level_name_is_used_in_the_package():
                        for other in modules.values()):
                 unused.append(f"{module}:{name}")
     assert not unused, f"defined in src/rulegen but used only elsewhere: {unused}"
+
+
+def _with_class(tree):
+    """(node, name of the innermost enclosing class or None) for every
+    node of ``tree``."""
+    stack = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        yield node, cls
+        inner = node.name if isinstance(node, ast.ClassDef) else cls
+        stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+
+
+def functions(node, cls=None):
+    """(def, class name if it is a method, else None) for every function
+    and method under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            yield child, None if static else cls
+        yield from functions(
+            child, child.name if isinstance(child, ast.ClassDef) else None)
+
+
+def defaulted_parameters(tree):
+    """(call name, positional index, parameter name) for each defaulted
+    parameter of every function and method. A constructor is called by
+    its class name; a method's index does not count ``self``."""
+    for node, cls in functions(tree):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        offset = 0 if cls is None else 1
+        name = cls if cls and node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield name, i - offset, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, None, arg.arg
+
+
+def calls(tree):
+    """(called name, positional count, keyword names) of every call; a
+    ``*args`` or ``**kwargs`` splat counts as setting everything, and
+    ``cls(...)`` inside a class calls that class."""
+    for node, cls in _with_class(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = cls if func.id == "cls" and cls else func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        npos = len(node.args)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            npos = float("inf")
+        keywords = {kw.arg for kw in node.keywords}
+        yield name, npos, keywords
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    callers = parse(list(SRC.glob("*.py"))
+                    + list((ROOT / "perfbench").glob("*.py"))
+                    + list((ROOT / "scripts").glob("*.py")))
+    seen = {}
+    for tree in callers.values():
+        for name, npos, keywords in calls(tree):
+            seen.setdefault(name, []).append((npos, keywords))
+    never_set = []
+    for path, tree in parse(SRC.glob("*.py")).items():
+        for name, index, param in defaulted_parameters(tree):
+            if (path.name, name, param) in PARAM_EXEMPT:
+                continue
+            if not any(param in keywords or None in keywords
+                       or (index is not None and npos > index)
+                       for npos, keywords in seen.get(name, ())):
+                never_set.append(f"{path.name}:{name}({param})")
+    assert not never_set, (
+        f"defaulted parameters no caller outside tests/ sets: {never_set}")

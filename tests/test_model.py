@@ -33,37 +33,37 @@ def test_attention_weights_sum_to_one():
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1, 7))
         y = ad.Tensor(rng.standard_normal((n, d)))
-        c = ad.Tensor(rng.standard_normal(d))
+        c = ad.Tensor(rng.standard_normal((1, d)))
         w = ad.Tensor(rng.standard_normal((d, d)))
-        logits = ad.matmul(ad.matmul(y, w), c)
-        alpha = ad.softmax(logits).data
+        logits = ad.matmul(c, ad.matmul(y, w), transpose_b=True)
+        alpha = ad.softmax(logits).data[0]
         assert abs(alpha.sum() - 1.0) < 1e-6
-        pooled = attentive_pool(y, c, w).data
+        pooled = attentive_pool(y, c, w).data[0]
         assert np.allclose(pooled, alpha @ y.data, atol=1e-12)
 
 
 def test_zero_controller_gives_uniform_mean():
     rng = np.random.default_rng(1)
     y = ad.Tensor(rng.standard_normal((5, 4)))
-    c = ad.Tensor(np.zeros(4))
+    c = ad.Tensor(np.zeros((1, 4)))
     w = ad.Tensor(rng.standard_normal((4, 4)))
-    pooled = attentive_pool(y, c, w).data
+    pooled = attentive_pool(y, c, w).data[0]
     assert np.max(np.abs(pooled - y.data.mean(axis=0))) < 1e-9
 
 
 def test_single_candidate_returns_it_exactly():
     rng = np.random.default_rng(2)
     y = ad.Tensor(rng.standard_normal((1, 4)))
-    c = ad.Tensor(rng.standard_normal(4))
+    c = ad.Tensor(rng.standard_normal((1, 4)))
     w = ad.Tensor(rng.standard_normal((4, 4)))
-    assert np.array_equal(attentive_pool(y, c, w).data, y.data[0])
+    assert np.array_equal(attentive_pool(y, c, w).data[0], y.data[0])
 
 
 def test_attention_two_candidate_worked_example():
     y = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    c = ad.Tensor(np.array([1.0, 0.0]))
+    c = ad.Tensor(np.array([[1.0, 0.0]]))
     w = ad.Tensor(np.eye(2))
-    pooled = attentive_pool(y, c, w).data
+    pooled = attentive_pool(y, c, w).data[0]
     assert np.allclose(pooled, [0.7311, 0.2689], atol=1e-4)
 
 
@@ -170,7 +170,7 @@ def test_dead_end_without_rules_or_slots(small_model, fixture_grammar):
 
 
 def test_aggregate_width_matches_order(small_model):
-    agg = small_model.aggregate_width()
+    agg = len(small_model.aggregate_slots()) * small_model.config.dim
     assert agg == 6 * small_model.config.dim
     assert AGGREGATE_ORDER[:6] == ("att_rule", "att_path", "att_pre",
                                    "att_enc", "max_enc", "max_pre")
@@ -234,7 +234,7 @@ def test_teacher_forced_state_matches_replay(six_examples, fixture_grammar):
 def test_save_load_roundtrip(small_model, fixture_grammar, tmp_path):
     path = tmp_path / "model.bin"
     small_model.save(path)
-    loaded = Model.load(path, fixture_grammar, dtype=np.float64)
+    loaded = Model.load(path, fixture_grammar)
     assert loaded.store.names() == small_model.store.names()
     for n in small_model.store.names():
         assert np.allclose(loaded.store[n].data, small_model.store[n].data,

@@ -89,9 +89,17 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_without_optimizer(tmp_path):
+    """The program always writes the Adam moments, but a checkpoint from
+    elsewhere may leave them out."""
     store = make_store(dtype=np.float32)
     path = tmp_path / "ck.bin"
-    save_params(store, path, include_optimizer=False)
+    save_params(store, path)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    header["optimizer"] = False
+    weights = 4 * sum(store[n].data.size for n in store.names())
+    path.write_bytes(json.dumps(header).encode() + raw[nl:nl + 1 + weights])
     loaded, header = load_params(path)
     assert header["optimizer"] is False
     assert loaded.step == 0
