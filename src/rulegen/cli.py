@@ -64,19 +64,19 @@ def _load_grammar(path):
 
 
 def _load_examples(path):
-    if not os.path.exists(path):
-        raise CliError(f"no such dataset: {path}", EXIT_IO)
     try:
         return load_dataset(path)
+    except OSError as e:
+        raise CliError(f"cannot read {path}: {e}", EXIT_IO)
     except DatasetError as e:
         raise CliError(str(e), EXIT_VALIDATION)
 
 
 def _load_model(args, grammar):
-    if not os.path.exists(args.checkpoint):
-        raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_IO)
     try:
         return Model.load(args.checkpoint, grammar)
+    except OSError as e:
+        raise CliError(f"cannot read {args.checkpoint}: {e}", EXIT_IO)
     except CheckpointError as e:
         raise CliError(f"invalid checkpoint {args.checkpoint}: {e}",
                        EXIT_VALIDATION)

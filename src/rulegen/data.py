@@ -95,21 +95,25 @@ def _slots_from_doc(docs) -> list:
 
 
 def example_from_line(line: str) -> Example:
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
-        raise DatasetError("record must be a JSON object")
-    for key in ("id", "description", "ast"):
-        if key not in doc:
-            raise DatasetError(f"record missing {key!r}")
-    if not isinstance(doc["description"], str):
-        raise DatasetError("'description' must be a string")
-    slots = _slots_from_doc(doc.get("slots", []))
-    names = [n for n, _ in slots]
-    if len(set(names)) != len(names):
-        raise DatasetError(f"record {doc['id']!r} has duplicate slot names")
-    ast = ast_from_doc(doc["ast"])
-    validate_tree(ast)
-    return Example(doc["id"], doc["description"], slots, ast)
+    try:
+        doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise DatasetError("record must be a JSON object")
+        for key in ("id", "description", "ast"):
+            if key not in doc:
+                raise DatasetError(f"record missing {key!r}")
+        if not isinstance(doc["description"], str):
+            raise DatasetError("'description' must be a string")
+        slots = _slots_from_doc(doc.get("slots", []))
+        names = [n for n, _ in slots]
+        if len(set(names)) != len(names):
+            raise DatasetError(f"record {doc['id']!r} has duplicate slot names")
+        ast = ast_from_doc(doc["ast"])
+        validate_tree(ast)
+        return Example(doc["id"], doc["description"], slots, ast)
+    except RecursionError:
+        # json, ast_from_doc and validate_tree all recurse per level
+        raise DatasetError("record is nested too deeply") from None
 
 
 def read_lines(path):

@@ -55,14 +55,6 @@ class TokenVocab:
             for t in self._index:
                 f.write(t + "\n")
 
-    @classmethod
-    def load(cls, path) -> "TokenVocab":
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
-        if lines[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise ValueError("vocabulary file must start with PAD and UNK")
-        return cls(lines[2:])
-
 
 def shortcut_cnn(store, prefix, y0, layers, window, lengths=None):
     """Run the shortcut CNN stack over embedded positions.

@@ -136,6 +136,7 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
                                         rng=rng)
             loss.backward()
             total_loss += loss.item()
+            del loss          # free this example's graph before the next
             total_steps += nsteps
             pending += 1
             if pending >= config.accumulation_window:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rulegen
 from rulegen import autodiff as ad
@@ -76,6 +80,21 @@ def test_extract_grammar_missing_file(tmp_path, capsys):
     assert code == 3
 
 
+def test_extract_grammar_data_that_is_a_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "extract-grammar", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "g.json"))
+    assert code == 3
+    assert f"cannot read {tmp_path}" in err
+
+
+def test_generate_checkpoint_that_is_a_directory(workdir, tmp_path, capsys):
+    code, _, err = run(capsys, "generate", "--checkpoint", str(tmp_path),
+                       "--grammar", str(workdir / "data" / "grammar.json"),
+                       "--input", "whatever")
+    assert code == 3
+    assert f"cannot read {tmp_path}" in err
+
+
 def test_extract_grammar_empty_file(tmp_path, capsys):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
@@ -92,6 +111,10 @@ MALFORMED_RECORDS = {
     "slot_not_an_object": {"slots": ["n=v"]},
     "slot_without_name": {"slots": [{"value": "v"}]},
     "slot_without_value": {"slots": [{"name": "n"}]},
+    "nested_900_deep": ('{"id": "a", "description": "x", "ast": '
+                        + '{"symbol": "S", "children": [' * 900
+                        + '{"symbol": "tok", "terminal": "v"}'
+                        + "]}" * 900 + "}"),
 }
 
 
@@ -192,6 +215,34 @@ def test_checkpoint_layout_mismatch_exits_2(workdir, tmp_path, edit, named):
                          "--input", "whatever")
     assert str(bad) in stderr
     assert named in stderr
+
+
+def flip_byte(raw, pos, mask):
+    out = bytearray(raw)
+    out[pos] ^= mask
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_checkpoint_exits_2(workdir, data):
+    """Any one payload byte flipped, or the file cut at any length: the
+    CLI reports the file and exits 2, raising nothing."""
+    raw = (workdir / "run" / "checkpoint.bin").read_bytes()
+    payload = raw.index(b"\n") + 1
+    corrupt = data.draw(st.one_of(
+        st.builds(flip_byte, st.just(raw),
+                  st.integers(payload, len(raw) - 1), st.integers(1, 255)),
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n])))
+    bad = workdir / "corrupt.bin"
+    bad.write_bytes(corrupt)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["generate", "--checkpoint", str(bad),
+                     "--grammar", str(workdir / "data" / "grammar.json"),
+                     "--input", "whatever"])
+    assert code == 2
+    assert f"invalid checkpoint {bad}" in err.getvalue()
 
 
 def default_args(workdir, tmp_path, command):

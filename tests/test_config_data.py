@@ -134,6 +134,22 @@ def test_load_dataset_names_a_line_that_is_not_utf8(tmp_path):
     assert f"{p}:2: not UTF-8" in str(e.value)
 
 
+def nested_record(depth):
+    """A record whose AST is a chain of ``depth`` nonterminals."""
+    ast = ('{"symbol": "S", "children": [' * depth
+           + '{"symbol": "tok", "terminal": "v"}' + "]}" * depth)
+    return '{"id": "deep", "description": "x", "ast": ' + ast + "}"
+
+
+def test_load_dataset_names_a_record_nested_too_deeply(tmp_path):
+    p = tmp_path / "d.jsonl"
+    line = example_to_line(synth_corpus(count=1)[0])
+    p.write_text(line + "\n" + nested_record(900) + "\n")
+    with pytest.raises(DatasetError) as e:
+        load_dataset(p)
+    assert str(e.value) == f"{p}:2: record is nested too deeply"
+
+
 def test_load_dataset_splits_at_universal_newlines(tmp_path):
     lines = [example_to_line(ex) for ex in synth_corpus(count=3)]
     p = tmp_path / "d.jsonl"

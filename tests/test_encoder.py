@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from rulegen import autodiff as ad
 from rulegen.encoder import (
@@ -29,15 +28,12 @@ def test_vocab_reserved_indices_and_unk():
     assert len(v) == 5
 
 
-def test_vocab_save_load_roundtrip(tmp_path):
+def test_vocab_save_writes_one_token_per_line_in_index_order(tmp_path):
     v = TokenVocab.build(["alpha beta gamma"])
     path = tmp_path / "vocab.txt"
     v.save(path)
-    v2 = TokenVocab.load(path)
-    assert v2.tokens() == v.tokens()
-    (tmp_path / "bad.txt").write_text("alpha\nbeta\n")
-    with pytest.raises(ValueError):
-        TokenVocab.load(tmp_path / "bad.txt")
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        PAD_TOKEN, UNK_TOKEN, "alpha", "beta", "gamma"]
 
 
 def make_stack(prefix, layers, d, k=2, zero=True, seed=0):
