@@ -352,56 +352,80 @@ def window_offsets(k: int):
     return list(range(lo, lo + k))
 
 
-def window_conv(x: Tensor, w: Tensor, k: int, lengths=None,
-                residual=None) -> Tensor:
-    """One shortcut-CNN layer as one node: relu(window(x) @ w + residual).
+def conv_stack(x: Tensor, weights, k: int, lengths=None) -> Tensor:
+    """A whole shortcut-CNN stack as one node.
 
-    Row i of window(x) concatenates rows i+o of x over the window offsets,
-    with zeros outside the sequence. With ``lengths``, x packs consecutive
+    Layer l computes y(l) = relu(window(y(l-1)) @ weights[l-1] + c(l) y(l-2))
+    with y(0) = x and c(l) = 1 on even layers, 0 on odd ones. Row i of
+    window(y) concatenates rows i+o of y over the window offsets, with
+    zeros outside the sequence. With ``lengths``, x packs consecutive
     sequences of those lengths, and a window never reads across a boundary
     between them: each sequence gets the rows it would get alone.
-    ``residual``, when given, has the shape of the output and is added
-    before the ReLU.
+
+    Every layer keeps the width d of x, so each weight is (k*d, d). The
+    window plan and one window buffer serve every layer. The node keeps
+    each layer's output for backward and rebuilds each layer's window from
+    it there.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or w.shape[0] != k * x.shape[1]:
-        raise ShapeError(f"window_conv {x.shape} with window {k} @ {w.shape}")
+    weights = list(weights)
+    if (x.data.ndim != 2 or not weights
+            or any(w.shape != (k * x.shape[1], x.shape[1]) for w in weights)):
+        raise ShapeError(f"conv_stack {x.shape} with window {k} @ "
+                         f"{[w.shape for w in weights]}")
     n, d = x.shape
-    if residual is not None and residual.shape != (n, w.shape[1]):
-        raise ShapeError(f"window_conv residual {residual.shape}, "
-                         f"output {(n, w.shape[1])}")
     offs = window_offsets(k)
     cross = None  # (n, k): window slots that would read another sequence
-    if lengths is not None and len(lengths) > 1:
+    if lengths is not None:
         _check_segments(lengths, n)
-        seg = np.repeat(np.arange(len(lengths)), lengths)
-        src = np.clip(np.arange(n)[:, None] + np.array(offs), 0, n - 1)
-        cross = seg[src] != seg[:, None]
+        if len(lengths) > 1:
+            seg = np.repeat(np.arange(len(lengths)), lengths)
+            src = np.clip(np.arange(n)[:, None] + np.array(offs), 0, n - 1)
+            cross = seg[src] != seg[:, None]
     # (column block, source rows, destination rows) per window offset that
     # reads inside the sequence
     blocks = [(slice(j * d, (j + 1) * d), slice(max(0, o), n + min(0, o)),
                slice(max(0, -o), n - max(0, o)))
               for j, o in enumerate(offs) if abs(o) < n]
+    # slots outside the sequence are never written, so they stay zero
     win = np.zeros((n, k * d), dtype=x.dtype)
-    for cols, src_rows, dst_rows in blocks:
-        win[dst_rows, cols] = x.data[src_rows]
-    if cross is not None:
-        win.reshape(n, k, d)[cross] = 0.0
-    z = win @ w.data
-    if residual is not None:
-        z += residual.data
-    _check_finite(z, "window_conv")
-    out = np.maximum(z, 0, out=z)
+
+    def fill(y):
+        for cols, src_rows, dst_rows in blocks:
+            win[dst_rows, cols] = y[src_rows]
+        if cross is not None:
+            win.reshape(n, k, d)[cross] = 0.0
+
+    ys = [x.data]
+    for layer, w in enumerate(weights, 1):
+        fill(ys[-1])
+        z = win @ w.data
+        if layer % 2 == 0:
+            z += ys[layer - 2]
+        # a -inf here would vanish after the ReLU, so check every layer
+        _check_finite(z, f"conv_stack layer {layer}")
+        ys.append(np.maximum(z, 0, out=z))
 
     def bw(g):
-        gz = g * (out > 0)
-        gwin = gz @ w.data.T
-        if cross is not None:
-            gwin.reshape(n, k, d)[cross] = 0.0
-        gx = np.zeros_like(x.data)
-        for cols, src_rows, dst_rows in blocks:
-            gx[src_rows] += gwin[dst_rows, cols]
-        grads = (gx, win.T @ gz)
-        return grads if residual is None else grads + (gz,)
+        # gy[l] is the gradient reaching y(l), popped once layer l is done.
+        # y(l-2) gets the shortcut term of layer l first, then the window
+        # term of layer l-1, as on a tape
+        gy = [None] * len(weights) + [g]
+        gw = [None] * len(weights)
+        for layer in range(len(weights), 0, -1):
+            gz = gy.pop() * (ys[layer] > 0)
+            w = weights[layer - 1].data
+            if layer % 2 == 0:
+                gy[layer - 2] = gz
+            gwin = gz @ w.T
+            if cross is not None:
+                gwin.reshape(n, k, d)[cross] = 0.0
+            gx = np.zeros_like(ys[layer - 1])
+            for cols, src_rows, dst_rows in blocks:
+                gx[src_rows] += gwin[dst_rows, cols]
+            acc = gy[layer - 1]
+            gy[layer - 1] = gx if acc is None else acc + gx
+            fill(ys[layer - 1])
+            gw[layer - 1] = win.T @ gz
+        return (gy[0], *gw)
 
-    parents = (x, w) if residual is None else (x, w, residual)
-    return Tensor(out, parents=parents, backward_fn=bw)
+    return Tensor(ys[-1], parents=(x, *weights), backward_fn=bw)

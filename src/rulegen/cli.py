@@ -124,9 +124,12 @@ def cmd_generate(args):
     grammar = _load_grammar(args.grammar)
     model = _load_model(args, grammar)
     if os.path.exists(args.input):
-        line = _read_text(args.input).strip().splitlines()[0]
+        lines = _read_text(args.input).strip().splitlines()
+        if not lines:
+            raise CliError(f"input file {args.input} is empty",
+                           EXIT_VALIDATION)
         try:
-            ex = example_from_line(line)
+            ex = example_from_line(lines[0])
         except (DatasetError, json.JSONDecodeError, ValueError) as e:
             raise CliError(f"invalid input record: {e}", EXIT_VALIDATION)
         description, slots = ex.description, ex.slots
@@ -225,6 +228,14 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="rulegen",
@@ -275,9 +286,9 @@ def build_parser():
     s.set_defaults(fn=cmd_synth_data)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    gc.add_argument("--dims", type=int, default=4)
-    gc.add_argument("--layers", type=int, default=3)
-    gc.add_argument("--samples", type=int, default=4,
+    gc.add_argument("--dims", type=positive_int, default=4)
+    gc.add_argument("--layers", type=positive_int, default=3)
+    gc.add_argument("--samples", type=non_negative_int, default=4,
                     help="entries checked per tensor; 0 = exhaustive")
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--all-variants", action="store_true",

@@ -3,12 +3,14 @@ ablation toggles. The JSON form round-trips losslessly and unknown keys
 are rejected so a typo cannot silently fall back to a default. Each value
 must have its field's type: an int field takes no bool, a float field
 also takes an int (kept as given, so the config hash does not change),
-and a bool field takes only a bool."""
+and a bool field takes only a bool. A float field's value must be finite
+and within the float range."""
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 
@@ -72,6 +74,10 @@ class RunConfig:
                     or (isinstance(value, bool) and f.type != "bool")):
                 raise ConfigError(f"{f.name} must be of type {f.type}, "
                                   f"got {value!r}")
+            # NaN fails the comparison; an int past the float range would
+            # overflow where training turns it into a float
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("layers", "window", "dim", "mlp_hidden", "epochs",
                      "accumulation_window", "eval_interval", "patience",
                      "beam_size", "max_decode_steps"):
@@ -91,7 +97,9 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except RecursionError:
+            raise ConfigError("config is nested too deeply") from None
+        except ValueError as e:  # also an integer too long to convert
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")

@@ -66,9 +66,5 @@ def shortcut_cnn(store, prefix, y0, layers, window, lengths=None):
     Returns the top layer; layer l reads ``conv{l}``, so a call with
     ``layers=l`` gives the output of layer l of a deeper stack.
     """
-    outs = [y0]
-    for layer in range(1, layers + 1):
-        outs.append(ad.window_conv(
-            outs[-1], store[f"{prefix}conv{layer}"], window, lengths,
-            residual=outs[layer - 2] if layer % 2 == 0 else None))
-    return outs[-1]
+    weights = [store[f"{prefix}conv{layer}"] for layer in range(1, layers + 1)]
+    return ad.conv_stack(y0, weights, window, lengths)

@@ -161,13 +161,13 @@ def run_op_checks(seed=0) -> dict:
         lambda a: ad.matmul(ad.softmax(a), w), [(1, 6)], rng)
     report["concat"] = _fd_input_check(
         lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)], rng)
-    report["window_conv"] = _fd_input_check(
-        lambda a, w: ad.window_conv(a, w, 2), [(5, 3), (6, 2)], rng)
-    report["window_conv_k3"] = _fd_input_check(
-        lambda a, w: ad.window_conv(a, w, 3), [(5, 2), (6, 3)], rng)
-    report["window_conv_residual"] = _fd_input_check(
-        lambda a, w, r: ad.window_conv(a, w, 2, residual=r),
-        [(5, 3), (6, 2), (5, 2)], rng)
+    report["conv_stack"] = _fd_input_check(
+        lambda a, w: ad.conv_stack(a, [w], 2), [(5, 3), (6, 3)], rng)
+    report["conv_stack_k3"] = _fd_input_check(
+        lambda a, w: ad.conv_stack(a, [w], 3), [(5, 2), (6, 2)], rng)
+    report["conv_stack_residual"] = _fd_input_check(
+        lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2),
+        [(5, 3), (6, 3), (6, 3)], rng)
     report["sumsq"] = _fd_input_check(ad.sumsq, [(4, 2)], rng)
     report["gather_rows"] = _fd_input_check(
         lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)], rng)
@@ -187,11 +187,11 @@ def run_op_checks(seed=0) -> dict:
         lambda a: ad.matmul(ad.softmax(a, np.array(
             [[True, False, True, True], [False, True, True, False]])), v),
         [(2, 4)], rng)
-    report["window_conv_segments"] = _fd_input_check(
-        lambda a, w: ad.window_conv(a, w, 3, [2, 1, 3]), [(6, 2), (6, 3)], rng)
-    report["window_conv_segments_k2_residual"] = _fd_input_check(
-        lambda a, w, r: ad.window_conv(a, w, 2, [2, 1, 3], residual=r),
-        [(6, 2), (4, 2), (6, 2)], rng)
+    report["conv_stack_segments"] = _fd_input_check(
+        lambda a, w: ad.conv_stack(a, [w], 3, [2, 1, 3]), [(6, 2), (6, 2)], rng)
+    report["conv_stack_segments_k2_residual"] = _fd_input_check(
+        lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2, [2, 1, 3]),
+        [(6, 2), (4, 2), (4, 2)], rng)
     report["segment_max"] = _fd_input_check(
         lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)], rng)
     report["row"] = _fd_input_check(lambda a: ad.row(a, 1), [(3, 4)], rng)

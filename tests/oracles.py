@@ -1,4 +1,5 @@
-"""Independent oracles for the tree code in ``rulegen.ast_tree``.
+"""Independent oracles for the tree code in ``rulegen.ast_tree`` and for
+the shortcut-CNN stack in ``rulegen.autodiff``.
 
 The package keeps one derivation walker (``encode_to_rules``) and one
 traversal view (``augmented_view``). The tests check them against the
@@ -6,12 +7,26 @@ object-based builders here: a pre-order traversal with backtrack units
 and its stack-based inverse, the (node, parent, grandparent) triple at a
 path, a derivation replay that inverts ``encode_to_rules``, structural
 tree equality, and a bounded random tree sampler.
+
+The package runs a whole shortcut-CNN stack as one node
+(``conv_stack``). ``window_conv`` here is one layer of it as its own
+node, so a chain of them on the tape is the reference for the stack's
+forward values and gradients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from rulegen.ast_tree import PHD_SYMBOL, AstNode, PartialAst, apply_rule
+from rulegen.autodiff import (
+    ShapeError,
+    Tensor,
+    _check_finite,
+    _check_segments,
+    window_offsets,
+)
 from rulegen.grammar import (
     CompleteTreeError,
     Grammar,
@@ -182,3 +197,58 @@ def random_tree(g: Grammar, rng, max_depth=8, start=None) -> AstNode:
         rid = ids[int(rng.integers(len(ids)))]
         t = apply_rule(t, g.rules[rid], g.scope_symbols)
     return t.root
+
+
+def window_conv(x: Tensor, w: Tensor, k: int, lengths=None,
+                residual=None) -> Tensor:
+    """One shortcut-CNN layer as one node: relu(window(x) @ w + residual).
+
+    Row i of window(x) concatenates rows i+o of x over the window offsets,
+    with zeros outside the sequence. With ``lengths``, x packs consecutive
+    sequences of those lengths, and a window never reads across a boundary
+    between them: each sequence gets the rows it would get alone.
+    ``residual``, when given, has the shape of the output and is added
+    before the ReLU.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or w.shape[0] != k * x.shape[1]:
+        raise ShapeError(f"window_conv {x.shape} with window {k} @ {w.shape}")
+    n, d = x.shape
+    if residual is not None and residual.shape != (n, w.shape[1]):
+        raise ShapeError(f"window_conv residual {residual.shape}, "
+                         f"output {(n, w.shape[1])}")
+    offs = window_offsets(k)
+    cross = None  # (n, k): window slots that would read another sequence
+    if lengths is not None and len(lengths) > 1:
+        _check_segments(lengths, n)
+        seg = np.repeat(np.arange(len(lengths)), lengths)
+        src = np.clip(np.arange(n)[:, None] + np.array(offs), 0, n - 1)
+        cross = seg[src] != seg[:, None]
+    # (column block, source rows, destination rows) per window offset that
+    # reads inside the sequence
+    blocks = [(slice(j * d, (j + 1) * d), slice(max(0, o), n + min(0, o)),
+               slice(max(0, -o), n - max(0, o)))
+              for j, o in enumerate(offs) if abs(o) < n]
+    win = np.zeros((n, k * d), dtype=x.dtype)
+    for cols, src_rows, dst_rows in blocks:
+        win[dst_rows, cols] = x.data[src_rows]
+    if cross is not None:
+        win.reshape(n, k, d)[cross] = 0.0
+    z = win @ w.data
+    if residual is not None:
+        z += residual.data
+    _check_finite(z, "window_conv")
+    out = np.maximum(z, 0, out=z)
+
+    def bw(g):
+        gz = g * (out > 0)
+        gwin = gz @ w.data.T
+        if cross is not None:
+            gwin.reshape(n, k, d)[cross] = 0.0
+        gx = np.zeros_like(x.data)
+        for cols, src_rows, dst_rows in blocks:
+            gx[src_rows] += gwin[dst_rows, cols]
+        grads = (gx, win.T @ gz)
+        return grads if residual is None else grads + (gz,)
+
+    parents = (x, w) if residual is None else (x, w, residual)
+    return Tensor(out, parents=parents, backward_fn=bw)

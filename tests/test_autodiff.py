@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import window_conv
 from rulegen import autodiff as ad
 
 
@@ -77,7 +78,7 @@ def test_softmax_grad(n, seed):
 @settings(max_examples=25, deadline=None)
 @given(n=dims, m=dims, k=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_stack_window_grad(n, m, k, seed):
-    check_op(lambda x, w: ad.window_conv(x, w, k), [(n, m), (k * m, 3)], seed)
+    check_op(lambda x, w: ad.conv_stack(x, [w], k), [(n, m), (k * m, m)], seed)
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,10 +176,13 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.matmul(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(2)))
     with pytest.raises(ad.ShapeError):
-        ad.window_conv(a, ad.Tensor(np.zeros((5, 2))), 2)
+        ad.conv_stack(a, [ad.Tensor(np.zeros((5, 2)))], 2)
     with pytest.raises(ad.ShapeError):
-        ad.window_conv(a, ad.Tensor(np.zeros((6, 2))), 2,
-                       residual=ad.Tensor(np.zeros((2, 3))))
+        ad.conv_stack(a, [], 2)
+    # every layer keeps x's width, which the shortcut needs
+    with pytest.raises(ad.ShapeError):
+        ad.conv_stack(a, [ad.Tensor(np.zeros((6, 3))),
+                          ad.Tensor(np.zeros((6, 2)))], 2)
 
 
 def test_window_offsets_k2_covers_i_and_next():
@@ -186,10 +190,18 @@ def test_window_offsets_k2_covers_i_and_next():
     assert ad.window_offsets(3) == [-1, 0, 1]
 
 
+def stack_window(x, k, lengths=None):
+    """window(x) as one-layer stacks read it: the weights of each select
+    one offset block, and the ReLU keeps the non-negative rows of x."""
+    m = x.shape[1]
+    eye = np.eye(k * m)
+    return np.concatenate(
+        [ad.conv_stack(ad.Tensor(x), [ad.Tensor(eye[:, j * m:(j + 1) * m])],
+                       k, lengths).data for j in range(k)], axis=1)
+
+
 def test_stack_window_zero_padding():
-    x = ad.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    # identity weights on non-negative rows: the output is the window itself
-    out = ad.window_conv(x, ad.Tensor(np.eye(4)), 2).data
+    out = stack_window(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
     # row i = [row i, row i+1]; last row padded with zeros
     assert np.array_equal(out[0], [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(out[1], [3.0, 4.0, 0.0, 0.0])
@@ -243,13 +255,10 @@ def reference_window(x, k, lengths):
 @given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
        seed=st.integers(0, 10**6))
 def test_stack_window_segments_match_each_sequence_alone(lengths, m, k, seed):
-    # identity weights on non-negative rows: the output is the window itself
     x = np.abs(np.random.default_rng(seed).standard_normal((sum(lengths), m)))
-    w = ad.Tensor(np.eye(k * m))
-    packed = ad.window_conv(ad.Tensor(x), w, k, lengths).data
+    packed = stack_window(x, k, lengths)
     starts = np.cumsum([0] + lengths[:-1])
-    alone = [ad.window_conv(ad.Tensor(x[s:s + n]), w, k).data
-             for s, n in zip(starts, lengths)]
+    alone = [stack_window(x[s:s + n], k) for s, n in zip(starts, lengths)]
     assert np.array_equal(packed, np.concatenate(alone, axis=0))
     assert np.array_equal(packed, reference_window(x, k, lengths))
 
@@ -259,55 +268,98 @@ def test_stack_window_segments_match_each_sequence_alone(lengths, m, k, seed):
        seed=st.integers(0, 10**6))
 def test_stack_window_segments_grad(lengths, m, k, seed):
     n = sum(lengths)
-    check_op(lambda x, w: ad.window_conv(x, w, k, lengths),
-             [(n, m), (k * m, 2)], seed)
-    check_op(lambda x, w, r: ad.window_conv(x, w, k, lengths, residual=r),
-             [(n, m), (k * m, 2), (n, 2)], seed + 1)
+    check_op(lambda x, w: ad.conv_stack(x, [w], k, lengths),
+             [(n, m), (k * m, m)], seed)
+    # two layers: the second adds the shortcut from x
+    check_op(lambda x, w1, w2: ad.conv_stack(x, [w1, w2], k, lengths),
+             [(n, m), (k * m, m), (k * m, m)], seed + 1)
 
 
 def test_stack_window_rejects_lengths_that_do_not_tile():
     x = ad.Tensor(np.zeros((4, 2)))
     w = ad.Tensor(np.zeros((4, 2)))
-    for lengths in ([1, 2], [2, 0, 2], [3, 2]):
+    for lengths in ([1, 2], [2, 0, 2], [3, 2], [3]):
         with pytest.raises(ad.ShapeError):
-            ad.window_conv(x, w, 2, lengths)
+            ad.conv_stack(x, [w], 2, lengths)
 
 
 @settings(max_examples=25, deadline=None)
 @given(lengths=segment_lists, m=dims, k=st.integers(1, 4),
-       residual=st.booleans(), seed=st.integers(0, 10**6))
-def test_window_conv_matches_numpy_reference(lengths, m, k, residual, seed):
+       layers=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_conv_stack_matches_numpy_reference(lengths, m, k, layers, seed):
     rng = np.random.default_rng(seed)
     n = sum(lengths)
     x = rng.standard_normal((n, m))
-    w = rng.standard_normal((k * m, 3))
-    r = rng.standard_normal((n, 3)) if residual else None
-    got = ad.window_conv(ad.Tensor(x), ad.Tensor(w), k, lengths,
-                         None if r is None else ad.Tensor(r)).data
-    z = reference_window(x, k, lengths) @ w
-    if r is not None:
-        z = r + z
-    assert np.allclose(got, np.maximum(z, 0.0), rtol=1e-12, atol=1e-12)
+    ws = [rng.standard_normal((k * m, m)) for _ in range(layers)]
+    got = ad.conv_stack(ad.Tensor(x), [ad.Tensor(w) for w in ws], k,
+                        lengths).data
+    ys = [x]
+    for layer, w in enumerate(ws, 1):
+        z = reference_window(ys[-1], k, lengths) @ w
+        if layer % 2 == 0:
+            z = ys[layer - 2] + z
+        ys.append(np.maximum(z, 0.0))
+    assert np.allclose(got, ys[-1], rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("residual", [False, True])
-def test_window_conv_nan_raises_numeric_fault(residual):
-    x = np.ones((3, 2))
-    x[1, 0] = np.nan
-    r = ad.Tensor(np.zeros((3, 2))) if residual else None
-    with pytest.raises(ad.NumericFault):
-        ad.window_conv(ad.Tensor(x), ad.Tensor(np.ones((4, 2))), 2,
-                       residual=r)
-    # a NaN or -Inf arriving through the shortcut raises too, even though
-    # the ReLU would map -Inf to 0
-    if residual:
-        for bad in (np.nan, -np.inf):
-            r = np.zeros((3, 2))
-            r[2, 1] = bad
-            with pytest.raises(ad.NumericFault):
-                ad.window_conv(ad.Tensor(np.ones((3, 2))),
-                               ad.Tensor(np.ones((4, 2))), 2,
-                               residual=ad.Tensor(r))
+@pytest.mark.parametrize("layers", [1, 2])
+def test_conv_stack_nan_raises_numeric_fault(layers):
+    # -Inf raises too, even though the ReLU would map it to 0
+    for bad in (np.nan, -np.inf):
+        x = np.ones((3, 2))
+        x[1, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NumericFault):
+            ad.conv_stack(ad.Tensor(x), [ad.Tensor(np.ones((4, 2)))] * layers,
+                          2)
+
+
+def test_conv_stack_names_a_middle_layer_that_overflows():
+    # layer 3's pre-ReLU sum is -inf; its ReLU output would be a clean 0
+    ws = [np.full((4, 2), 0.5), np.full((4, 2), 0.5),
+          np.full((4, 2), -1e308), np.full((4, 2), 0.5),
+          np.full((4, 2), 0.5)]
+    with np.errstate(over="ignore"), pytest.raises(
+            ad.NumericFault, match="conv_stack layer 3$"):
+        ad.conv_stack(ad.Tensor(np.ones((3, 2))),
+                      [ad.Tensor(w) for w in ws], 2)
+
+
+def oracle_stack(x, weights, k, lengths):
+    """The stack as a chain of one-layer nodes on the tape."""
+    outs = [x]
+    for layer, w in enumerate(weights, 1):
+        outs.append(window_conv(
+            outs[-1], w, k, lengths,
+            residual=outs[layer - 2] if layer % 2 == 0 else None))
+    return outs[-1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("layers", [1, 2, 5])
+@pytest.mark.parametrize("lengths", [None, [7], [1, 3, 1, 2]])
+def test_conv_stack_matches_a_chain_of_layers_bit_for_bit(dtype, k, layers,
+                                                          lengths):
+    rng = np.random.default_rng(layers * 10 + k)
+    n, d = 7, 4
+    x0 = rng.standard_normal((n, d)).astype(dtype)
+    w0 = [(rng.standard_normal((k * d, d)) / np.sqrt(d)).astype(dtype)
+          for _ in range(layers)]
+    g = rng.standard_normal((n, d)).astype(dtype)
+
+    def run(stack):
+        x = ad.Tensor(x0.copy(), requires_grad=True)
+        ws = [ad.Tensor(w.copy(), requires_grad=True) for w in w0]
+        out = stack(x, ws, k, lengths)
+        ad.sum_all(ad.Tensor(out.data * g, parents=(out,),
+                             backward_fn=lambda gg: (gg * g,))).backward()
+        return [out.data, x.grad] + [w.grad for w in ws]
+
+    got, want = run(ad.conv_stack), run(oracle_stack)
+    assert (got[0] > 0).any()
+    for a, b in zip(got, want):
+        assert a.dtype == dtype
+        assert np.array_equal(a, b)
 
 
 def test_relu_nan_raises_numeric_fault():

@@ -286,6 +286,26 @@ def test_generate_rejects_a_beam_below_1(workdir, beam):
     assert "--beam" in stderr
 
 
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+def test_generate_input_file_without_a_record_exits_2(workdir, tmp_path,
+                                                      text):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(text)
+    stderr = cli_rejects("generate",
+                         "--checkpoint", workdir / "run" / "checkpoint.bin",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", empty)
+    assert f"{empty} is empty" in stderr
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--layers", "0"), ("--layers", "-1"), ("--dims", "0"),
+    ("--samples", "-1")])
+def test_gradcheck_rejects_a_size_out_of_range(flag, value):
+    stderr = cli_rejects("gradcheck", flag, value)
+    assert flag in stderr
+
+
 def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, tmp_path):
     bad = tmp_path / "checkpoint.bin"
 
@@ -307,6 +327,17 @@ def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):
                          "--grammar", workdir / "data" / "grammar.json",
                          "--config", bad, "--out-dir", tmp_path / "out")
     assert "dim" in stderr
+
+
+def test_train_config_with_a_float_that_is_not_finite_exits_2(workdir,
+                                                               tmp_path):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"lr": NaN}')
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", bad, "--out-dir", tmp_path / "out")
+    assert "lr must be finite" in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):

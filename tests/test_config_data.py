@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import decode_from_rules, random_tree, trees_equal
 from rulegen.ast_tree import encode_to_rules
@@ -68,6 +72,56 @@ def test_config_float_field_takes_an_int_as_given():
     assert cfg.dropout == 0 and isinstance(cfg.dropout, int)
     assert '"stop_at_train_acc": 1,' in cfg.to_json()
     assert RunConfig.from_json(cfg.to_json()).hash() == cfg.hash()
+
+
+@pytest.mark.parametrize("text", ['{"lr": NaN}', '{"lr": Infinity}',
+                                  '{"l2": NaN}', '{"dropout": -Infinity}',
+                                  '{"stop_at_train_acc": NaN}',
+                                  '{"lr": 1' + '0' * 400 + '}'])
+def test_config_rejects_a_float_that_is_not_finite(text):
+    key = next(iter(json.loads(text)))
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        RunConfig.from_json(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 1' + '0' * 5000 + '}', "not valid JSON"),
+    ('{"seed": ' + '[' * 100000 + ']' * 100000 + '}', "nested too deeply"),
+], ids=["integer_too_long", "nested_too_deeply"])
+def test_config_json_that_python_cannot_parse(text, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_json(text)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+# a few of the known keys; each value has its field's type or is any JSON
+# value, so both valid and invalid configs come up
+typed_values = {"int": st.integers(), "bool": st.booleans(),
+                "float": (st.floats() | st.integers()
+                          | st.sampled_from([math.nan, math.inf, -math.inf]))}
+field_values = {f.name: typed_values[f.type] | json_values
+                for f in dataclasses.fields(RunConfig)}
+config_docs = st.lists(st.sampled_from(sorted(field_values)), max_size=4,
+                       unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                           {k: field_values[k] for k in keys}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=config_docs)
+def test_config_from_any_json_object_is_a_config_or_config_error(doc):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    try:
+        cfg = RunConfig.from_json(json.dumps(doc))
+    except ConfigError:
+        return
+    for f in dataclasses.fields(cfg):
+        if f.type == "float":
+            assert math.isfinite(float(getattr(cfg, f.name))), f.name
+    assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_hash_sensitive_to_toggles():
