@@ -263,22 +263,12 @@ def sumsq(x: Tensor) -> Tensor:
     return _make(out, (x,), bw, "sumsq")
 
 
-def embedding(table: Tensor, indices) -> Tensor:
+def gather_rows(x: Tensor, indices) -> Tensor:
+    """Rows of x at a flat list of indices, repeats allowed: an embedding
+    lookup, or a reordering or copy of rows."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError("embedding indices must be a flat list")
-    out = table.data[idx]
-
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _make(out, (table,), bw, "embedding")
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
+        raise ShapeError("gather_rows indices must be a flat list")
     out = x.data[idx]
 
     def bw(g):

@@ -59,7 +59,7 @@ def _write_text(path, text):
 def _load_grammar(path):
     try:
         return grammar_from_json(_read_text(path))
-    except (GrammarError, json.JSONDecodeError) as e:
+    except GrammarError as e:
         raise CliError(f"invalid grammar {path}: {e}", EXIT_VALIDATION)
 
 
@@ -166,8 +166,6 @@ def cmd_evaluate(args):
 
 
 def cmd_synth_data(args):
-    if args.grammar_size < 1 or args.depth < 0 or args.count < 0:
-        raise CliError("sizes must be positive", EXIT_VALIDATION)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
@@ -277,10 +275,10 @@ def build_parser():
     ev.set_defaults(fn=cmd_evaluate)
 
     s = sub.add_parser("synth-data", help="emit a toy grammar and corpus")
-    s.add_argument("--grammar-size", type=int, default=3)
-    s.add_argument("--depth", type=int, default=2)
-    s.add_argument("--count", type=int, default=20)
-    s.add_argument("--test-count", type=int, default=0)
+    s.add_argument("--grammar-size", type=positive_int, default=3)
+    s.add_argument("--depth", type=non_negative_int, default=2)
+    s.add_argument("--count", type=non_negative_int, default=20)
+    s.add_argument("--test-count", type=non_negative_int, default=0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_synth_data)

@@ -260,7 +260,12 @@ def _field(entry, key, where, kind=str):
 
 
 def grammar_from_json(text: str) -> Grammar:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise GrammarError("grammar is nested too deeply") from None
+    except ValueError as e:  # also an integer too long to convert
+        raise GrammarError(f"grammar is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise GrammarError("grammar must be a JSON object")
     if doc.get("version") != GRAMMAR_VERSION:

@@ -264,7 +264,7 @@ class Model:
         idx = self.token_vocab.indices(tokens)
         if train and word_dropout > 0.0 and rng is not None:
             idx = [1 if rng.random() < word_dropout else i for i in idx]
-        y0 = ad.embedding(self.store["emb/token"], idx)
+        y0 = ad.gather_rows(self.store["emb/token"], idx)
         feats = shortcut_cnn(self.store, "enc/", y0, cfg.layers, cfg.window)
         return feats, ad.segment_max(feats, [len(idx)])
 
@@ -277,8 +277,8 @@ class Model:
             rows = [self.scope_index.get(s.scope()) for s in states]
         if all(r is None for r in rows):
             return ad.Tensor(np.zeros((n, self.config.dim), dtype=self.dtype))
-        emb = ad.embedding(self.store["emb/scope"],
-                           [0 if r is None else r for r in rows])
+        emb = ad.gather_rows(self.store["emb/scope"],
+                             [0 if r is None else r for r in rows])
         if any(r is None for r in rows):
             emb = ad.row_scale(emb, [r is not None for r in rows])
         return emb
@@ -304,8 +304,8 @@ class Model:
                     sym_idx.append(self.sym_index[node.symbol.name])
                 term_idx.append(self.term_unk)
                 is_term.append(0.0)
-        sym_rows = ad.embedding(self.store["emb/symbol"], sym_idx)
-        term_rows = ad.embedding(self.store["emb/terminal"], term_idx)
+        sym_rows = ad.gather_rows(self.store["emb/symbol"], sym_idx)
+        term_rows = ad.gather_rows(self.store["emb/terminal"], term_idx)
         keep = np.asarray(is_term, dtype=self.dtype)
         return ad.add(ad.row_scale(sym_rows, 1.0 - keep),
                       ad.row_scale(term_rows, keep))
@@ -331,7 +331,7 @@ class Model:
         if cfg.no_tree_conv:
             return x, lengths, units
         n = len(nodes)
-        pad_row = ad.embedding(self.store["emb/symbol"], [self.pad_index])
+        pad_row = ad.gather_rows(self.store["emb/symbol"], [self.pad_index])
         xp = ad.concat([x, pad_row], axis=0)
         par = [p if p >= 0 else n for p in parents]
         gpa = [p if p >= 0 else n for p in grands]
@@ -352,7 +352,7 @@ class Model:
         lengths = [len(us) for us in units]
         u0 = ad.matmul(
             ad.concat([ad.gather_rows(y_ast, node_idx),
-                       ad.embedding(self.store["emb/flag"], flags)], axis=1),
+                       ad.gather_rows(self.store["emb/flag"], flags)], axis=1),
             self.store[f"{head}/pre_proj"])
         return shortcut_cnn(self.store, f"{head}/pre/", u0, cfg.layers,
                             cfg.window, lengths=lengths), lengths
@@ -367,7 +367,7 @@ class Model:
                      for t in state.rule_trace] or [self.rule_pad]
             idx += trace
             lengths.append(len(trace))
-        y0 = ad.embedding(self.store["emb/rule"], idx)
+        y0 = ad.gather_rows(self.store["emb/rule"], idx)
         return shortcut_cnn(self.store, f"{head}/rule/", y0, self.config.layers,
                             self.config.window, lengths=lengths), lengths
 
@@ -378,7 +378,7 @@ class Model:
             path = root_path(state.partial_ast)
             idx += [self.sym_index[n.symbol.name] for n in path]
             lengths.append(len(path))
-        y0 = ad.embedding(self.store["emb/symbol"], idx)
+        y0 = ad.gather_rows(self.store["emb/symbol"], idx)
         return shortcut_cnn(self.store, f"{head}/path/", y0, self.config.layers,
                             self.config.window, lengths=lengths), lengths
 
@@ -433,7 +433,7 @@ class Model:
         if head == self._copy_head():
             slot_idx = [self.slot_index.get(n, self.slot_unk)
                         for n, _ in states[0].slots]
-            slot_rows = ad.embedding(self.store["emb/slot"], slot_idx)
+            slot_rows = ad.gather_rows(self.store["emb/slot"], slot_idx)
             carrier = ad.matmul(h, self.store[f"{head}/copy_w"])
             copy = ad.matmul(carrier, slot_rows, transpose_b=True)
         else:

@@ -154,7 +154,9 @@ def _read_header(f) -> dict:
         raise CheckpointError("missing checkpoint header")
     try:
         header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except RecursionError:
+        raise CheckpointError("checkpoint header is nested too deeply") from None
+    except ValueError as e:  # also bad UTF-8 or an integer too long to convert
         raise CheckpointError(f"unreadable checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not a JSON object")

