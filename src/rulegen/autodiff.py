@@ -25,17 +25,17 @@ class LifecycleError(RuntimeError):
 class Tensor:
     """A dense array plus the bookkeeping for the backward pass.
 
-    ``grad`` is populated (for tensors created with ``requires_grad``)
-    by calling :meth:`backward` on a downstream scalar; gradients
-    accumulate additively until cleared by the owner.
+    ``grad`` is None, or an array of ``data``'s shape that the owner
+    provides (a parameter's view into its store's gradient buffer).
+    Calling :meth:`backward` on a downstream scalar adds into every such
+    array; gradients accumulate until the owner zeroes them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, parents=(), backward_fn=None):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
 
@@ -73,9 +73,7 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
+            if node.grad is not None:
                 node.grad += g
             if node._backward_fn is None:
                 continue

@@ -101,10 +101,15 @@ def cmd_train(args):
     dev_examples = _load_examples(args.dev) if args.dev else []
     try:
         config = RunConfig.from_json(_read_text(args.config))
+        result = train(train_examples, dev_examples, grammar, config,
+                       out_dir=args.out_dir, log_print=True)
     except ConfigError as e:
-        raise CliError(str(e), EXIT_VALIDATION)
-    result = train(train_examples, dev_examples, grammar, config,
-                   out_dir=args.out_dir, log_print=True)
+        raise CliError(f"{args.config}: {e}", EXIT_VALIDATION)
+    except GrammarError as e:   # say, no example derivable by the grammar
+        raise CliError(f"{args.data}: {e} under {args.grammar}",
+                       EXIT_VALIDATION)
+    except OSError as e:
+        raise CliError(f"cannot write to {args.out_dir}: {e}", EXIT_IO)
     print(f"updates {result.updates}")
     return EXIT_OK
 

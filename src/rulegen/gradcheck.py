@@ -9,6 +9,8 @@ threshold.
 """
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from . import autodiff as ad
@@ -17,6 +19,7 @@ from .config import RunConfig
 from .data import synth_corpus
 from .grammar import induce_grammar
 from .model import Model, vocabs_from_examples
+from .params import ParamStore
 from .training import example_loss, l2_penalty
 
 TOLERANCE = 1e-4
@@ -33,25 +36,21 @@ def relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), DENOM_FLOOR)
 
 
-def fd_errors(loss_fn, tensors, samples_per_tensor=0, rng=None) -> list:
+def fd_errors(loss_fn, store, samples_per_tensor=0, rng=None) -> dict:
     """Worst relative error between the analytic gradient of ``loss_fn()``
-    and its central difference, one reading per tensor.
+    and its central difference, one reading per parameter of ``store``.
 
     ``loss_fn()`` must rebuild the scalar loss tensor from scratch: it runs
     backward once, then is re-evaluated at perturbed entries. With
     ``samples_per_tensor``, that many entries of each larger tensor are
-    drawn by ``rng``; otherwise every entry is checked.
+    drawn by ``rng``; otherwise every entry is checked. The store's
+    gradients are left zeroed.
     """
-    for t in tensors:
-        t.grad = None
+    store.zero_grad()
     loss_fn().backward()
-    grads = [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
-             for t in tensors]
-    for t in tensors:
-        t.grad = None
-    errors = []
-    for t, ga in zip(tensors, grads):
-        flat = t.data.reshape(-1)
+    errors = {}
+    for name, t in store.params.items():
+        flat, ga = t.data.reshape(-1), t.grad.reshape(-1)
         if samples_per_tensor and samples_per_tensor < flat.size:
             idx = rng.choice(flat.size, size=samples_per_tensor, replace=False)
         else:
@@ -74,7 +73,8 @@ def fd_errors(loss_fn, tensors, samples_per_tensor=0, rng=None) -> list:
                 # estimate; a genuinely wrong gradient stays wrong at every step
                 err = min(err, error_at(i, EPSILON / 10))
             worst = max(worst, err)
-        errors.append(worst)
+        errors[name] = worst
+    store.zero_grad()
     return errors
 
 
@@ -111,68 +111,61 @@ def run_full_check(dims=4, layers=3, samples_per_tensor=4, seed=0,
     config = RunConfig(dim=dims, layers=layers, mlp_hidden=dims,
                        dropout=0.0, seed=seed, **config_overrides)
     model, loss_builder = build_tiny_model(config)
-    names = model.store.names()
-    errors = fd_errors(loss_builder, [model.store[n] for n in names],
-                       samples_per_tensor, np.random.default_rng(seed))
-    return dict(zip(names, errors))
+    return fd_errors(loss_builder, model.store, samples_per_tensor,
+                     np.random.default_rng(seed))
 
 
-def _fd_input_check(op, shapes, rng, scalarize=ad.sum_all):
-    tensors = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
-               for s in shapes]
-    return max(fd_errors(lambda: scalarize(op(*tensors)), tensors))
+# (name, op, input shapes): each op's output is summed to a scalar loss
+OP_CHECKS = [
+    ("matmul", ad.matmul, [(3, 4), (4, 2)]),
+    ("add", ad.add, [(3, 4), (3, 4)]),
+    ("add_bias", ad.add, [(3, 4), (4,)]),
+    ("relu", ad.relu, [(4, 3)]),
+    # sum of a softmax is constant, so weight the entries before reducing
+    ("softmax", lambda a, w: ad.matmul(ad.softmax(a), w), [(1, 6), (6, 1)]),
+    ("concat", lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)]),
+    ("conv_stack", lambda a, w: ad.conv_stack(a, [w], 2), [(5, 3), (6, 3)]),
+    ("conv_stack_k3", lambda a, w: ad.conv_stack(a, [w], 3),
+     [(5, 2), (6, 2)]),
+    ("conv_stack_residual", lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2),
+     [(5, 3), (6, 3), (6, 3)]),
+    ("sumsq", ad.sumsq, [(4, 2)]),
+    ("gather_rows", lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)]),
+    ("row_scale", lambda a: ad.row_scale(a, np.array([0.5, 2.0, 0.0])),
+     [(3, 4)]),
+    ("masked_log_softmax", lambda a: ad.pick(ad.masked_log_softmax(
+        a, np.array([True, False, True, True, False])), 2), [(5,)]),
+    # packed-sequence forms: one row or segment per decoder state
+    ("matmul_nt", lambda a, b: ad.matmul(a, b, transpose_b=True),
+     [(3, 4), (2, 4)]),
+    ("softmax_rows", lambda a, v: ad.matmul(ad.softmax(a, np.array(
+        [[True, False, True, True], [False, True, True, False]])), v),
+     [(2, 4), (4, 1)]),
+    ("conv_stack_segments", lambda a, w: ad.conv_stack(a, [w], 3, [2, 1, 3]),
+     [(6, 2), (6, 2)]),
+    ("conv_stack_segments_k2_residual",
+     lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2, [2, 1, 3]),
+     [(6, 2), (4, 2), (4, 2)]),
+    ("segment_max", lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)]),
+    ("row", lambda a: ad.row(a, 1), [(3, 4)]),
+    ("pick_rows", lambda a: ad.pick(a, [2, 0, 2]), [(3, 4)]),
+    ("masked_log_softmax_rows", lambda a: ad.pick(ad.masked_log_softmax(
+        a, np.array([[True, False, True], [False, True, True]])), [2, 1]),
+     [(2, 3)]),
+]
 
 
 def run_op_checks(seed=0) -> dict:
-    """Finite-difference checks for each differentiable op."""
-    rng = np.random.default_rng(seed)
+    """Finite-difference checks for each differentiable op. Each entry
+    draws its inputs from its own stream, seeded from ``seed`` and its
+    name, so one entry's readings do not depend on the others."""
     report = {}
-    report["matmul"] = _fd_input_check(ad.matmul, [(3, 4), (4, 2)], rng)
-    report["add"] = _fd_input_check(ad.add, [(3, 4), (3, 4)], rng)
-    report["add_bias"] = _fd_input_check(ad.add, [(3, 4), (4,)], rng)
-    report["relu"] = _fd_input_check(ad.relu, [(4, 3)], rng)
-    # sum of a softmax is constant, so weight the entries before reducing
-    w = ad.Tensor(rng.standard_normal((6, 1)))
-    report["softmax"] = _fd_input_check(
-        lambda a: ad.matmul(ad.softmax(a), w), [(1, 6)], rng)
-    report["concat"] = _fd_input_check(
-        lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)], rng)
-    report["conv_stack"] = _fd_input_check(
-        lambda a, w: ad.conv_stack(a, [w], 2), [(5, 3), (6, 3)], rng)
-    report["conv_stack_k3"] = _fd_input_check(
-        lambda a, w: ad.conv_stack(a, [w], 3), [(5, 2), (6, 2)], rng)
-    report["conv_stack_residual"] = _fd_input_check(
-        lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2),
-        [(5, 3), (6, 3), (6, 3)], rng)
-    report["sumsq"] = _fd_input_check(ad.sumsq, [(4, 2)], rng)
-    report["gather_rows"] = _fd_input_check(
-        lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(4, 3)], rng)
-    report["row_scale"] = _fd_input_check(
-        lambda a: ad.row_scale(a, np.array([0.5, 2.0, 0.0])), [(3, 4)], rng)
-    report["masked_log_softmax"] = _fd_input_check(
-        lambda a: ad.pick(ad.masked_log_softmax(
-            a, np.array([True, False, True, True, False])), 2), [(5,)], rng,
-        scalarize=lambda t: t)
-    # packed-sequence forms: one row or segment per decoder state
-    report["matmul_nt"] = _fd_input_check(
-        lambda a, b: ad.matmul(a, b, transpose_b=True), [(3, 4), (2, 4)], rng)
-    v = ad.Tensor(rng.standard_normal((4, 1)))
-    report["softmax_rows"] = _fd_input_check(
-        lambda a: ad.matmul(ad.softmax(a, np.array(
-            [[True, False, True, True], [False, True, True, False]])), v),
-        [(2, 4)], rng)
-    report["conv_stack_segments"] = _fd_input_check(
-        lambda a, w: ad.conv_stack(a, [w], 3, [2, 1, 3]), [(6, 2), (6, 2)], rng)
-    report["conv_stack_segments_k2_residual"] = _fd_input_check(
-        lambda a, w1, w2: ad.conv_stack(a, [w1, w2], 2, [2, 1, 3]),
-        [(6, 2), (4, 2), (4, 2)], rng)
-    report["segment_max"] = _fd_input_check(
-        lambda a: ad.segment_max(a, [2, 1, 3]), [(6, 3)], rng)
-    report["row"] = _fd_input_check(lambda a: ad.row(a, 1), [(3, 4)], rng)
-    report["pick_rows"] = _fd_input_check(
-        lambda a: ad.pick(a, [2, 0, 2]), [(3, 4)], rng)
-    report["masked_log_softmax_rows"] = _fd_input_check(
-        lambda a: ad.pick(ad.masked_log_softmax(
-            a, np.array([[True, False, True], [False, True, True]])),
-            [2, 1]), [(2, 3)], rng)
+    for name, op, shapes in OP_CHECKS:
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+        store = ParamStore([(f"x{i}", s) for i, s in enumerate(shapes)],
+                           dtype=np.float64)
+        store.values[...] = rng.standard_normal(store.values.size)
+        inputs = [store[n] for n in store.names()]
+        report[name] = max(fd_errors(
+            lambda: ad.sum_all(op(*inputs)), store).values())
     return report

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,9 +229,16 @@ class Model:
         return layout
 
     def _init_params(self, rng) -> ParamStore:
-        store = ParamStore(dtype=self.dtype)
-        for name, shape, init in self.param_layout():
-            store.add(name, init(rng, shape))
+        layout = self.param_layout()
+        try:
+            store = ParamStore([(name, shape) for name, shape, _ in layout],
+                               dtype=self.dtype)
+        except MemoryError:
+            size = sum(math.prod(shape) for _, shape, _ in layout)
+            raise ConfigError(
+                f"the config's {size} parameters do not fit in memory") from None
+        for name, shape, init in layout:
+            store[name].data[...] = init(rng, shape)
         return store
 
     def _check_layout(self):

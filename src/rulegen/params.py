@@ -4,8 +4,9 @@ Checkpoint layout: a single JSON header line (format version, parameter
 manifest, precision, optimizer flag, CRC-32 of the payload, plus caller
 extras such as vocab and config hash), then the payload: raw
 little-endian float32 values in manifest order, then, when the optimizer
-flag is set, the Adam moments in the same order. The payload is written
-from and read into the arrays themselves, one array at a time.
+flag is set, the Adam first moments and second moments in the same
+order. The payload is the store's flat buffers, written from and read
+into them directly.
 """
 from __future__ import annotations
 
@@ -16,12 +17,14 @@ import zlib
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 
 CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements per Adam slice: the update's temporaries stay this size
+ADAM_SLICE = 1 << 16
 
 
 class CheckpointError(ValueError):
@@ -29,26 +32,32 @@ class CheckpointError(ValueError):
 
 
 class ParamStore:
-    """Parameters by name. The Adam moments (``moments_m``/``moments_v``)
-    are None until the first :func:`adam_step`, or until a checkpoint that
-    carries them is loaded; from then on every parameter has both."""
+    """Parameters by name, as views into flat buffers.
 
-    def __init__(self, dtype=np.float32):
+    ``values`` holds the weights and ``grads`` the gradients; each
+    parameter's ``data`` and ``grad`` are reshaped views into them, laid
+    out in the order of the ``(name, shape)`` layout. ``moments`` is the
+    ``(2, size)`` Adam first and second moments, None until the first
+    :func:`adam_step` or until a checkpoint that carries them is loaded.
+    """
+
+    def __init__(self, layout, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, Tensor] = {}
-        self.moments_m: dict[str, np.ndarray] | None = None
-        self.moments_v: dict[str, np.ndarray] | None = None
+        sizes = [math.prod(shape) for _, shape in layout]
+        # zeroed pages are mapped on first write, so a store that never
+        # trains never pays for its gradients
+        self.values = np.zeros(sum(sizes), self.dtype)
+        self.grads = np.zeros(sum(sizes), self.dtype)
+        self.moments: np.ndarray | None = None
         self.step = 0
-
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=self.dtype), requires_grad=True)
-        self.params[name] = t
-        if self.moments_m is not None:
-            self.moments_m[name] = np.zeros_like(t.data)
-            self.moments_v[name] = np.zeros_like(t.data)
-        return t
+        self.params: dict[str, Tensor] = {}
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            span = slice(offset, offset + size)
+            t = Tensor(self.values[span].reshape(shape))
+            t.grad = self.grads[span].reshape(shape)
+            self.params[name] = t
+            offset += size
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -60,11 +69,7 @@ class ParamStore:
         return list(self.params)
 
     def zero_grad(self):
-        for t in self.params.values():
-            t.grad = None
-
-    def clone_values(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self.params.items()}
+        self.grads.fill(0)
 
 
 def xavier_uniform(rng, shape) -> np.ndarray:
@@ -82,61 +87,47 @@ def zeros_init(rng, shape) -> np.ndarray:
 
 
 def adam_step(store: ParamStore, lr=1e-3):
-    """One bias-corrected Adam update over every parameter.
-
-    Parameters without an accumulated gradient are treated as having a
-    zero gradient (their moments decay as usual). Every gradient's shape
-    is checked before anything changes; the first step allocates the
-    moments.
-    """
-    for name, p in store.params.items():
-        if p.grad is not None and p.grad.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient shape {p.grad.shape} for {name} {p.data.shape}")
-    if store.moments_m is None:
-        store.moments_m = {n: np.zeros_like(p.data)
-                           for n, p in store.params.items()}
-        store.moments_v = {n: np.zeros_like(p.data)
-                           for n, p in store.params.items()}
+    """One bias-corrected Adam update over every parameter; the first step
+    allocates the moments. It runs over fixed slices of the flat buffers,
+    so its temporaries do not grow with the model."""
+    if store.moments is None:
+        store.moments = np.zeros((2, store.values.size), store.dtype)
     store.step += 1
     t = store.step
-    for name, p in store.params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = store.moments_m[name]
-        v = store.moments_v[name]
+    for lo in range(0, store.values.size, ADAM_SLICE):
+        span = slice(lo, lo + ADAM_SLICE)
+        w, g = store.values[span], store.grads[span]
+        m, v = store.moments[0, span], store.moments[1, span]
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1 ** t)
         v_hat = v / (1 - ADAM_BETA2 ** t)
-        p.data -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        w -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(w.dtype)
 
 
-def _payload(store: ParamStore):
-    """The payload arrays in write order, flat little-endian float32; no
+def _payload(store: ParamStore) -> list:
+    """The payload buffers in write order as little-endian float32; no
     copy is made for a float32 store."""
-    arrays = [t.data for t in store.params.values()]
-    if store.moments_m is not None:
-        arrays += [store.moments_m[n] for n in store.params]
-        arrays += [store.moments_v[n] for n in store.params]
-    for a in arrays:
-        yield np.ascontiguousarray(a, dtype="<f4").reshape(-1)
+    buffers = [store.values]
+    if store.moments is not None:
+        buffers.append(store.moments)
+    return [np.ascontiguousarray(b, dtype="<f4") for b in buffers]
 
 
 def save_params(store: ParamStore, path, extras=None):
-    manifest = [{"name": n, "shape": list(store.params[n].shape)}
-                for n in store.params]
+    manifest = [{"name": n, "shape": list(t.shape)}
+                for n, t in store.params.items()]
+    payload = _payload(store)
     crc = 0
-    for a in _payload(store):
-        crc = zlib.crc32(a, crc)
+    for b in payload:
+        crc = zlib.crc32(b, crc)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "precision": "float32",
         "params": manifest,
-        "optimizer": store.moments_m is not None,
+        "optimizer": store.moments is not None,
         "adam_step": store.step,
         "payload_crc32": crc,
     }
@@ -144,8 +135,8 @@ def save_params(store: ParamStore, path, extras=None):
         header["extras"] = extras
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for a in _payload(store):
-            f.write(a)
+        for b in payload:
+            f.write(b)
 
 
 def _read_header(f) -> dict:
@@ -187,37 +178,29 @@ def load_params(path):
     """Read a checkpoint into a float32 store; returns (store, header).
 
     The payload size the header implies is checked against the file size
-    before any array is allocated, and the payload's CRC-32 against the
+    before any buffer is allocated, and the payload's CRC-32 against the
     header's after it is read."""
     with open(path, "rb") as f:
         header = _read_header(f)
-        names = [e["name"] for e in header["params"]]
-        shapes = [tuple(e["shape"]) for e in header["params"]]
+        layout = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        size = sum(math.prod(shape) for _, shape in layout)
         copies = 3 if header.get("optimizer") else 1
-        want = 4 * copies * sum(math.prod(s) for s in shapes)
+        want = 4 * copies * size
         have = os.fstat(f.fileno()).st_size - f.tell()
         if have < want:
             raise CheckpointError(f"truncated checkpoint payload: the header "
                                   f"needs {want} bytes, the file has {have}")
         if have > want:
             raise CheckpointError("trailing bytes after checkpoint payload")
-        crc = 0
-
-        def take(shape):
-            nonlocal crc
-            arr = np.empty(math.prod(shape), dtype="<f4")
-            if f.readinto(arr) != arr.nbytes:
-                raise CheckpointError("truncated checkpoint payload")
-            crc = zlib.crc32(arr, crc)
-            return arr.reshape(shape)
-
-        store = ParamStore()
-        for name, shape in zip(names, shapes):
-            store.add(name, take(shape))
+        store = ParamStore(layout, dtype="<f4")
         if copies == 3:
-            store.moments_m = {n: take(s) for n, s in zip(names, shapes)}
-            store.moments_v = {n: take(s) for n, s in zip(names, shapes)}
+            store.moments = np.empty((2, size), dtype=store.dtype)
             store.step = header.get("adam_step", 0)
+        crc = 0
+        for b in _payload(store):   # a float32 store's own buffers
+            if f.readinto(b) != b.nbytes:
+                raise CheckpointError("truncated checkpoint payload")
+            crc = zlib.crc32(b, crc)
     if header.get("payload_crc32") != crc:
         raise CheckpointError(
             f"payload checksum {crc} does not match the header's "

@@ -160,7 +160,7 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
                 if dev_acc > best_dev:
                     best_dev = dev_acc
                     evals_since_best = 0
-                    best_values = model.store.clone_values()
+                    best_values = model.store.values.copy()
                     save_checkpoint()
                 else:
                     evals_since_best += 1
@@ -181,8 +181,7 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
     if best_values is None:
         save_checkpoint()
     else:
-        for name, values in best_values.items():
-            model.store[name].data[...] = values
+        model.store.values[...] = best_values
     if out_dir:
         with open(os.path.join(out_dir, "log.txt"), "w") as f:
             f.write("\n".join(result.log_lines) + "\n")

@@ -23,9 +23,16 @@ def fd_grad(f, x, eps=1e-6):
     return g
 
 
+def leaf(data):
+    """A tensor that collects its gradient, as a parameter does."""
+    t = ad.Tensor(data)
+    t.grad = np.zeros_like(t.data)
+    return t
+
+
 def check_op(op, shapes, seed, scalarize=None, atol=1e-7):
     rng = np.random.default_rng(seed)
-    tensors = [ad.Tensor(rng.standard_normal(s), requires_grad=True)
+    tensors = [leaf(rng.standard_normal(s))
                for s in shapes]
     weights = None
 
@@ -110,14 +117,14 @@ def test_masked_log_softmax_grad(n, seed, data):
 
 
 def test_relu_sum_example():
-    x = ad.Tensor(np.array([1.0, -1.0]), requires_grad=True)
+    x = leaf(np.array([1.0, -1.0]))
     ad.sum_all(ad.relu(x)).backward()
     assert np.array_equal(x.grad, [1.0, 0.0])
 
 
 def test_cross_entropy_softmax_closed_form():
     rng = np.random.default_rng(0)
-    logits = ad.Tensor(rng.standard_normal(6), requires_grad=True)
+    logits = leaf(rng.standard_normal(6))
     target = 2
     loss = ad.scale(ad.pick(ad.masked_log_softmax(logits, np.ones(6, bool)),
                             target), -1.0)
@@ -213,8 +220,8 @@ def test_stack_window_zero_padding():
 def test_forward_backward_determinism():
     def run():
         rng = np.random.default_rng(7)
-        x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        x = leaf(rng.standard_normal((4, 3)))
+        w = leaf(rng.standard_normal((3, 2)))
         loss = ad.sum_all(ad.relu(ad.matmul(x, w)))
         loss.backward()
         return loss.item(), x.grad.copy(), w.grad.copy()
@@ -227,7 +234,7 @@ def test_forward_backward_determinism():
 
 
 def test_gradient_accumulation_is_additive():
-    x = ad.Tensor(np.arange(3.0), requires_grad=True)
+    x = leaf(np.arange(3.0))
     ad.sum_all(x).backward()
     ad.sum_all(x).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
@@ -351,8 +358,8 @@ def test_conv_stack_matches_a_chain_of_layers_bit_for_bit(dtype, k, layers,
     g = rng.standard_normal((n, d)).astype(dtype)
 
     def run(stack):
-        x = ad.Tensor(x0.copy(), requires_grad=True)
-        ws = [ad.Tensor(w.copy(), requires_grad=True) for w in w0]
+        x = leaf(x0.copy())
+        ws = [leaf(w.copy()) for w in w0]
         out = stack(x, ws, k, lengths)
         ad.sum_all(ad.Tensor(out.data * g, parents=(out,),
                              backward_fn=lambda gg: (gg * g,))).backward()

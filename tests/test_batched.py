@@ -55,8 +55,7 @@ def per_state_loss(model, example, targets):
 def gradients(model, loss):
     model.store.zero_grad()
     loss.backward()
-    grads = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-             for n, p in model.store.params.items()}
+    grads = {n: p.grad.copy() for n, p in model.store.params.items()}
     model.store.zero_grad()
     return grads
 

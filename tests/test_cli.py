@@ -133,15 +133,15 @@ def test_extract_grammar_malformed_record(tmp_path, record):
     assert f"{data}:1:" in stderr
 
 
-def cli_rejects(*argv):
-    """Run the CLI in a fresh interpreter; it must exit 2 without a
-    traceback. Returns its stderr."""
+def cli_rejects(*argv, code=2):
+    """Run the CLI in a fresh interpreter; it must exit with ``code``
+    without a traceback. Returns its stderr."""
     src = os.path.dirname(os.path.dirname(rulegen.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "rulegen.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stderr
 
@@ -384,6 +384,43 @@ def test_train_config_with_a_float_that_is_not_finite_exits_2(workdir,
                          "--config", bad, "--out-dir", tmp_path / "out")
     assert "lr must be finite" in stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_train_config_too_large_to_allocate_exits_2(workdir, tmp_path):
+    """The parameter buffer of this config would hold over 10^16 floats,
+    so its allocation is refused at once."""
+    big = tmp_path / "config.json"
+    big.write_text('{"dim": 100000000, "layers": 1}')
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", big, "--out-dir", tmp_path / "out")
+    assert len(stderr.splitlines()) == 1
+    assert f"{big}: the config's " in stderr
+    assert "parameters do not fit in memory" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_out_dir_under_a_file_exits_3(workdir, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    args = default_args(workdir, tmp_path, "train")
+    args["--out-dir"] = afile / "x"
+    stderr = cli_rejects("train", *[v for kv in args.items() for v in kv],
+                         code=3)
+    assert f"cannot write to {afile / 'x'}" in stderr
+
+
+def test_train_with_no_derivable_example_exits_2(workdir, tmp_path):
+    data = workdir / "data"
+    grammar = tmp_path / "grammar.json"
+    doc = json.loads((data / "grammar.json").read_text())
+    doc["rules"] = doc["rules"][:1]
+    grammar.write_text(json.dumps(doc))
+    args = default_args(workdir, tmp_path, "train")
+    args["--grammar"] = grammar
+    stderr = cli_rejects("train", *[v for kv in args.items() for v in kv])
+    assert f"{data / 'train.jsonl'}: no derivable training examples" in stderr
+    assert str(grammar) in stderr
 
 
 def test_train_rejects_bad_config(workdir, tmp_path, capsys):

@@ -38,10 +38,11 @@ def test_vocab_save_writes_one_token_per_line_in_index_order(tmp_path):
 
 def make_stack(prefix, layers, d, k=2, zero=True, seed=0):
     rng = np.random.default_rng(seed)
-    store = ParamStore(dtype=np.float64)
-    for layer in range(1, layers + 1):
-        w = np.zeros((k * d, d)) if zero else rng.standard_normal((k * d, d))
-        store.add(f"{prefix}conv{layer}", w)
+    store = ParamStore([(f"{prefix}conv{layer}", (k * d, d))
+                        for layer in range(1, layers + 1)], dtype=np.float64)
+    if not zero:
+        for name in store.names():
+            store[name].data[...] = rng.standard_normal((k * d, d))
     return store
 
 
