@@ -318,11 +318,12 @@ def segment_max(x: Tensor, lengths) -> Tensor:
     return _make(out, (x,), bw, "segment_max")
 
 
-def dropout(x: Tensor, rate: float, rng, train: bool) -> Tensor:
-    """Inverted dropout: identity at inference, scaled mask in training."""
+def dropout(x: Tensor, rate: float, rng) -> Tensor:
+    """Inverted dropout: a scaled mask drawn from the generator ``rng`` in
+    training, the identity at inference (``rng`` None)."""
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     factor = 1.0 / (1.0 - rate)

@@ -284,7 +284,7 @@ def build_parser():
     s.add_argument("--depth", type=non_negative_int, default=2)
     s.add_argument("--count", type=non_negative_int, default=20)
     s.add_argument("--test-count", type=non_negative_int, default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=non_negative_int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_synth_data)
 
@@ -293,7 +293,7 @@ def build_parser():
     gc.add_argument("--layers", type=positive_int, default=3)
     gc.add_argument("--samples", type=non_negative_int, default=4,
                     help="entries checked per tensor; 0 = exhaustive")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=non_negative_int, default=0)
     gc.add_argument("--all-variants", action="store_true",
                     help="also check every ablation toggle one at a time")
     gc.set_defaults(fn=cmd_gradcheck)

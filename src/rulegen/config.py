@@ -83,6 +83,8 @@ class RunConfig:
                      "beam_size", "max_decode_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if not 0.0 <= self.word_dropout < 1.0:

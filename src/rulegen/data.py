@@ -102,6 +102,9 @@ def example_from_line(line: str) -> Example:
         for key in ("id", "description", "ast"):
             if key not in doc:
                 raise DatasetError(f"record missing {key!r}")
+        if (isinstance(doc["id"], bool)
+                or not isinstance(doc["id"], (str, int, float))):
+            raise DatasetError("'id' must be a string or a number")
         if not isinstance(doc["description"], str):
             raise DatasetError("'description' must be a string")
         slots = _slots_from_doc(doc.get("slots", []))

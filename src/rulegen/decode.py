@@ -56,7 +56,7 @@ def beam_search(model: Model, description: str, slots=(),
     if beam_size is None:
         beam_size = cfg.beam_size
     grammar = model.grammar
-    enc_feats, ctrl = model.encode(description, train=False)
+    enc_feats, ctrl = model.encode(description)
 
     start = Hypothesis(initial_state(grammar, slots), 0.0)
     beam = [start]
@@ -69,7 +69,7 @@ def beam_search(model: Model, description: str, slots=(),
                 candidates.append(h)
                 continue
             try:
-                logp = model.predict(h.state, enc_feats, ctrl, train=False)
+                logp = model.predict(h.state, enc_feats, ctrl)
             except DeadEndError:
                 continue
             lp = logp.data

@@ -97,7 +97,7 @@ def build_tiny_model(config: RunConfig):
     def loss_builder():
         total = None
         for ex, targets in batches:
-            loss, _ = example_loss(model, ex, targets, train=False)
+            loss = example_loss(model, ex, targets)
             total = loss if total is None else ad.add(total, loss)
         if config.l2 > 0:
             total = ad.add(total, l2_penalty(model))

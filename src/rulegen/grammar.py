@@ -295,8 +295,8 @@ def grammar_from_json(text: str) -> Grammar:
         if not isinstance(names, list) or not all(isinstance(n, str)
                                                   for n in names):
             raise GrammarError(f"grammar {key!r} must be a list of strings")
-    start = doc.get("start")
-    if start is not None:
-        start = symbol(start, "grammar 'start'")
+    start = symbol(doc.get("start"), "grammar 'start'")
+    if start.kind != NONTERMINAL:
+        raise GrammarError(f"grammar 'start' names terminal {start.name!r}")
     return Grammar(rules, symbols, doc.get("scope_vocab", ()),
                    doc.get("scope_symbols", ()), start_symbol=start)

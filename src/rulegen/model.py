@@ -74,11 +74,6 @@ class DecoderState:
     partial_ast: PartialAst
     slots: tuple           # ((name, value), ...)
 
-    def scope(self):
-        if self.partial_ast.frontier_path is None:
-            return None
-        return nearest_scope(self.partial_ast)
-
 
 def initial_state(grammar: Grammar, slots=()) -> DecoderState:
     root = AstNode(grammar.start_symbol)
@@ -166,9 +161,6 @@ class Model:
     def head_for(self, node_class: str) -> str:
         return SHARED_HEAD if self.config.share_heads else node_class
 
-    def _copy_head(self) -> str:
-        return self.head_for(VARIABLE)
-
     def aggregate_slots(self):
         """The entries of AGGREGATE_ORDER this config has, in that order."""
         cfg = self.config
@@ -224,7 +216,7 @@ class Model:
                 (f"{head}/mlp_w2", (g.num_rules, hidden), xavier_uniform),
                 (f"{head}/mlp_b2", (g.num_rules,), zeros_init),
             ]
-            if not cfg.no_copy and head == self._copy_head():
+            if not cfg.no_copy and head == self.head_for(VARIABLE):
                 layout.append((f"{head}/copy_w", (hidden, d), xavier_uniform))
         return layout
 
@@ -263,18 +255,24 @@ class Model:
         return [n for n in self.store.names()
                 if n.endswith("/mlp_w1") or n.endswith("/mlp_w2")]
 
-    def encode(self, description: str, train=False, rng=None,
-               word_dropout=0.0):
+    def _sequence_cnn(self, table, seqs, prefix):
+        """The shortcut CNN ``prefix`` over the rows of embedding ``table``
+        that each index sequence picks, the sequences packed one after
+        another; returns the top layer and the sequence lengths."""
+        lengths = [len(seq) for seq in seqs]
+        y0 = ad.gather_rows(self.store[table], [i for seq in seqs for i in seq])
+        return shortcut_cnn(self.store, prefix, y0, self.config.layers,
+                            self.config.window, lengths=lengths), lengths
+
+    def encode(self, description: str, rng=None):
         """Returns the per-position features and their (1, d) max-pool,
-        controller A."""
-        cfg = self.config
-        tokens = tokenize(description)
-        idx = self.token_vocab.indices(tokens)
-        if train and word_dropout > 0.0 and rng is not None:
-            idx = [1 if rng.random() < word_dropout else i for i in idx]
-        y0 = ad.gather_rows(self.store["emb/token"], idx)
-        feats = shortcut_cnn(self.store, "enc/", y0, cfg.layers, cfg.window)
-        return feats, ad.segment_max(feats, [len(idx)])
+        controller A. Given a generator, word dropout draws per token."""
+        idx = self.token_vocab.indices(tokenize(description))
+        rate = self.config.word_dropout
+        if rng is not None and rate > 0.0:
+            idx = [1 if rng.random() < rate else i for i in idx]
+        feats, lengths = self._sequence_cnn("emb/token", [idx], "enc/")
+        return feats, ad.segment_max(feats, lengths)
 
     def _scope_controller(self, states):
         """Controller B, one row per state: the embedding of the nearest
@@ -282,7 +280,8 @@ class Model:
         n = len(states)
         rows = [None] * n
         if not self.config.no_scope:
-            rows = [self.scope_index.get(s.scope()) for s in states]
+            rows = [self.scope_index.get(nearest_scope(s.partial_ast))
+                    for s in states]
         if all(r is None for r in rows):
             return ad.Tensor(np.zeros((n, self.config.dim), dtype=self.dtype))
         emb = ad.gather_rows(self.store["emb/scope"],
@@ -369,26 +368,15 @@ class Model:
         """Rule CNN over each state's predicted rules (one pad row for an
         empty trace)."""
         r = self.grammar.num_rules
-        idx, lengths = [], []
-        for state in states:
-            trace = [t if t < r else self.rule_copy
-                     for t in state.rule_trace] or [self.rule_pad]
-            idx += trace
-            lengths.append(len(trace))
-        y0 = ad.gather_rows(self.store["emb/rule"], idx)
-        return shortcut_cnn(self.store, f"{head}/rule/", y0, self.config.layers,
-                            self.config.window, lengths=lengths), lengths
+        traces = [[t if t < r else self.rule_copy for t in s.rule_trace]
+                  or [self.rule_pad] for s in states]
+        return self._sequence_cnn("emb/rule", traces, f"{head}/rule/")
 
     def path_features(self, states, head: str):
         """Tree-path CNN over each state's root-to-frontier chain."""
-        idx, lengths = [], []
-        for state in states:
-            path = root_path(state.partial_ast)
-            idx += [self.sym_index[n.symbol.name] for n in path]
-            lengths.append(len(path))
-        y0 = ad.gather_rows(self.store["emb/symbol"], idx)
-        return shortcut_cnn(self.store, f"{head}/path/", y0, self.config.layers,
-                            self.config.window, lengths=lengths), lengths
+        paths = [[self.sym_index[n.symbol.name]
+                  for n in root_path(s.partial_ast)] for s in states]
+        return self._sequence_cnn("emb/symbol", paths, f"{head}/path/")
 
     def aggregate(self, states, enc_feats, enc_controller, head: str):
         """Pooled features in AGGREGATE_ORDER, one row per state."""
@@ -422,23 +410,23 @@ class Model:
         return ad.concat([parts[s] for s in slots], axis=1)
 
     def _head_logits(self, states, enc_feats, enc_controller, head, width,
-                     train, rng):
+                     rng):
         """(len(states), width) logits of one head: the rules, then one
         copy target per slot (zeros outside the copy head)."""
         cfg = self.config
         agg = self.aggregate(states, enc_feats, enc_controller, head)
-        x = ad.dropout(agg, cfg.dropout, rng, train)
+        x = ad.dropout(agg, cfg.dropout, rng)
         h = ad.relu(ad.add(ad.matmul(x, self.store[f"{head}/mlp_w1"],
                                      transpose_b=True),
                            self.store[f"{head}/mlp_b1"]))
-        h = ad.dropout(h, cfg.dropout, rng, train)
+        h = ad.dropout(h, cfg.dropout, rng)
         logits = ad.add(ad.matmul(h, self.store[f"{head}/mlp_w2"],
                                   transpose_b=True),
                         self.store[f"{head}/mlp_b2"])
         copies = width - self.grammar.num_rules
         if not copies:
             return logits
-        if head == self._copy_head():
+        if head == self.head_for(VARIABLE):
             slot_idx = [self.slot_index.get(n, self.slot_unk)
                         for n, _ in states[0].slots]
             slot_rows = ad.gather_rows(self.store["emb/slot"], slot_idx)
@@ -448,8 +436,7 @@ class Model:
             copy = ad.Tensor(np.zeros((len(states), copies), dtype=self.dtype))
         return ad.concat([logits, copy], axis=1)
 
-    def predict(self, states, enc_feats, enc_controller, train=False,
-                rng=None):
+    def predict(self, states, enc_feats, enc_controller, rng=None):
         """Masked log-probabilities over rules (+ copy targets for the
         variable head); entries invalid for the frontier are -inf.
 
@@ -457,10 +444,10 @@ class Model:
         sequence of states with the same slots, which gives one row per
         state; the copy columns are there when any state's frontier can
         copy. States are grouped by head, in the fixed head order, and
-        each group runs every extractor once over its packed rows. In
-        training, dropout masks are drawn group by group: the aggregate
-        mask for all states of a group (one row per state, in the given
-        order), then its hidden-layer mask.
+        each group runs every extractor once over its packed rows. Given
+        a generator (a training pass), dropout masks are drawn from it
+        group by group: the aggregate mask for all states of a group (one
+        row per state, in the given order), then its hidden-layer mask.
         """
         cfg = self.config
         single = isinstance(states, DecoderState)
@@ -490,7 +477,7 @@ class Model:
             if rows:
                 blocks.append(self._head_logits(
                     [batch[t] for t in rows], enc_feats, enc_controller,
-                    head, width, train, rng))
+                    head, width, rng))
                 order += rows
         logits = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=0)
         if order != sorted(order):
@@ -521,6 +508,11 @@ class Model:
         if not isinstance(extras, dict) or any(f not in extras for f in fields):
             raise CheckpointError(
                 f"checkpoint header extras need {', '.join(fields)}")
+        for f in fields[1:]:
+            if (not isinstance(extras[f], list)
+                    or not all(isinstance(v, str) for v in extras[f])):
+                raise CheckpointError(f"checkpoint {f!r} must be a list of "
+                                      "strings")
         try:
             config = RunConfig(**extras["config"])
         except (TypeError, ConfigError) as e:

@@ -26,23 +26,20 @@ from .model import Model, advance, initial_state, vocabs_from_examples
 from .params import adam_step
 
 
-def example_loss(model: Model, example: Example, targets, train=True,
-                 rng=None):
-    """Summed negative log-likelihood of the gold targets, plus the
-    per-step count (for mean-loss reporting).
+def example_loss(model: Model, example: Example, targets, rng=None):
+    """Summed negative log-likelihood of the gold targets. Given a
+    generator, this is a training pass, with word dropout and dropout
+    drawn from it; without one, it scores the model as it decodes.
 
     ``advance`` is pure, so every gold state is built first and all of
     them are scored by one ``predict`` call.
     """
-    cfg = model.config
-    enc_feats, ctrl = model.encode(example.description, train=train, rng=rng,
-                                   word_dropout=cfg.word_dropout)
+    enc_feats, ctrl = model.encode(example.description, rng)
     states = [initial_state(model.grammar, example.slots)]
     for target in targets[:-1]:
         states.append(advance(states[-1], target, model.grammar))
-    logp = model.predict(states, enc_feats, ctrl, train=train, rng=rng)
-    loss = ad.scale(ad.sum_all(ad.pick(logp, targets)), -1.0)
-    return loss, len(targets)
+    logp = model.predict(states, enc_feats, ctrl, rng)
+    return ad.scale(ad.sum_all(ad.pick(logp, targets)), -1.0)
 
 
 def decode_yield(model: Model, example: Example):
@@ -82,7 +79,6 @@ class TrainResult:
     log_lines: list = field(default_factory=list)
     updates: int = 0
     skipped: int = 0
-    best_dev_acc: float = -1.0
 
 
 def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
@@ -132,12 +128,11 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
         order = rng.permutation(len(usable))
         for pos in order:
             ex, targets = usable[pos]
-            loss, nsteps = example_loss(model, ex, targets, train=True,
-                                        rng=rng)
+            loss = example_loss(model, ex, targets, rng)
             loss.backward()
             total_loss += loss.item()
             del loss          # free this example's graph before the next
-            total_steps += nsteps
+            total_steps += len(targets)
             pending += 1
             if pending >= config.accumulation_window:
                 _apply_update(model, config)
@@ -177,7 +172,6 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
         if stop:
             break
 
-    result.best_dev_acc = best_dev
     if best_values is None:
         save_checkpoint()
     else:

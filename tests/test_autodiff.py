@@ -156,13 +156,13 @@ def test_dropout_expectation_and_inference_identity():
     rng = np.random.default_rng(0)
     x = ad.Tensor(np.ones((100, 1000)))
     rate = 0.3
-    out = ad.dropout(x, rate, rng, train=True)
+    out = ad.dropout(x, rate, rng)
     keep_rate = np.count_nonzero(out.data) / out.data.size
     assert abs(keep_rate - (1 - rate)) < 0.02
     # kept units are scaled by 1/(1-rate)
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 1.0 / (1 - rate))
-    assert ad.dropout(x, rate, rng, train=False) is x
+    assert ad.dropout(x, rate, None) is x
 
 
 def test_forward_nan_raises_numeric_fault():

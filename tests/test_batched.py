@@ -64,9 +64,8 @@ def gradients(model, loss):
 def test_batched_loss_and_gradients_match_per_state(overrides):
     model, batches = tiny_model(overrides)
     for ex, targets in batches:
-        batched, steps = example_loss(model, ex, targets, train=False)
+        batched = example_loss(model, ex, targets)
         reference = per_state_loss(model, ex, targets)
-        assert steps == len(targets)
         assert abs(batched.item() - reference.item()) \
             <= 1e-10 * abs(reference.item())
         got, want = gradients(model, batched), gradients(model, reference)
@@ -150,7 +149,7 @@ def test_dropout_masks_are_drawn_per_head_group_in_head_order():
     states = gold_states(model, ex, targets)
     enc, ctrl = model.encode(ex.description)
     rng = RecordingRng(9)
-    model.predict(states, enc, ctrl, train=True, rng=rng)
+    model.predict(states, enc, ctrl, rng)
     want = []
     for head in HEAD_CLASSES:
         n = sum(s.partial_ast.frontier.symbol.node_class == head

@@ -111,6 +111,8 @@ MALFORMED_RECORDS = {
     "slot_not_an_object": {"slots": ["n=v"]},
     "slot_without_name": {"slots": [{"value": "v"}]},
     "slot_without_value": {"slots": [{"name": "n"}]},
+    "id_a_list": {"id": [1]},
+    "id_an_object": {"id": {"n": 1}},
     "nested_900_deep": ('{"id": "a", "description": "x", "ast": '
                         + '{"symbol": "S", "children": [' * 900
                         + '{"symbol": "tok", "terminal": "v"}'
@@ -149,6 +151,8 @@ def cli_rejects(*argv, code=2):
 MALFORMED_GRAMMARS = {
     "without_symbols": '{"version": 1, "rules": []}',
     "not_an_object": '[{"version": 1}]',
+    # the shared run's grammar with these entries set
+    "null_start": {"start": None},
 }
 
 
@@ -156,6 +160,9 @@ MALFORMED_GRAMMARS = {
 @pytest.mark.parametrize("text", MALFORMED_GRAMMARS.values(),
                          ids=MALFORMED_GRAMMARS.keys())
 def test_malformed_grammar_exits_2(workdir, tmp_path, command, text):
+    if isinstance(text, dict):
+        doc = json.loads((workdir / "data" / "grammar.json").read_text())
+        text = json.dumps(dict(doc, **text))
     grammar = tmp_path / "grammar.json"
     grammar.write_text(text)
     if command == "train":
@@ -337,7 +344,7 @@ def test_generate_input_file_without_a_record_exits_2(workdir, tmp_path,
 
 @pytest.mark.parametrize("flag, value", [
     ("--layers", "0"), ("--layers", "-1"), ("--dims", "0"),
-    ("--samples", "-1")])
+    ("--samples", "-1"), ("--seed", "-1")])
 def test_gradcheck_rejects_a_size_out_of_range(flag, value):
     stderr = cli_rejects("gradcheck", flag, value)
     assert flag in stderr
@@ -345,7 +352,7 @@ def test_gradcheck_rejects_a_size_out_of_range(flag, value):
 
 @pytest.mark.parametrize("flag, value", [
     ("--grammar-size", "0"), ("--depth", "-1"), ("--count", "-1"),
-    ("--test-count", "-1")])
+    ("--test-count", "-1"), ("--seed", "-1")])
 def test_synth_data_rejects_a_size_out_of_range(tmp_path, flag, value):
     stderr = cli_rejects("synth-data", flag, value, "--out", tmp_path / "d")
     assert f"argument {flag}" in stderr
@@ -364,6 +371,29 @@ def test_checkpoint_config_of_the_wrong_type_exits_2(workdir, tmp_path):
                          "--input", "whatever")
     assert str(bad) in stderr
     assert "mlp_hidden" in stderr
+
+
+def test_checkpoint_vocabulary_that_is_not_a_list_exits_2(workdir, tmp_path):
+    bad = tmp_path / "checkpoint.bin"
+
+    def edit(header):
+        header["extras"]["token_vocab"] = 5
+
+    rewrite_header(workdir / "run" / "checkpoint.bin", bad, edit)
+    stderr = cli_rejects("generate", "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", "whatever")
+    assert str(bad) in stderr
+    assert "token_vocab" in stderr
+
+
+def test_train_config_with_a_negative_seed_exits_2(workdir, tmp_path):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"seed": -1}')
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", bad, "--out-dir", tmp_path / "out")
+    assert f"{bad}: seed must be non-negative" in stderr
 
 
 def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):

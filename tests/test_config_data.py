@@ -43,6 +43,8 @@ def test_config_validation():
         RunConfig(dropout=1.0)
     with pytest.raises(ConfigError):
         RunConfig(lr=0.0)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig.from_json('{"seed": -1}')
     with pytest.raises(ConfigError):
         RunConfig.from_json("not json")
 

@@ -172,6 +172,9 @@ MALFORMED_GRAMMAR_DOCS = {
                            []),
     "scope_vocab_not_strings": ({"scope_vocab": [1]}, []),
     "unknown_start": ({"start": "Q"}, []),
+    "no_start": ({}, ["start"]),
+    "null_start": ({"start": None}, []),
+    "terminal_start": ({"start": "tok"}, []),
 }
 
 

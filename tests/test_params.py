@@ -294,9 +294,10 @@ def test_checkpoint_malformed_header_entries(tmp_path, header, message):
 
 
 def test_model_load_needs_model_extras(tmp_path):
+    from rulegen.config import RunConfig
     from rulegen.grammar import induce_grammar
     from rulegen.data import synth_corpus
-    from rulegen.model import Model
+    from rulegen.model import Model, grammar_hash
 
     path = tmp_path / "ck.bin"
     save_params(make_store(dtype=np.float32), path)
@@ -308,3 +309,16 @@ def test_model_load_needs_model_extras(tmp_path):
         "slot_name_vocab": []})
     with pytest.raises(CheckpointError):
         Model.load(path, grammar)
+    # the payload CRC does not cover the header, so its vocabularies are
+    # checked: each must be a list of strings
+    good = {"config": json.loads(RunConfig().to_json()),
+            "config_hash": RunConfig().hash(),
+            "grammar_hash": grammar_hash(grammar),
+            "token_vocab": ["<pad>", "<unk>"], "terminal_vocab": [],
+            "slot_name_vocab": []}
+    for key, value in [("token_vocab", 5), ("terminal_vocab", 5),
+                       ("slot_name_vocab", [[1]])]:
+        save_params(make_store(dtype=np.float32), path,
+                    extras=dict(good, **{key: value}))
+        with pytest.raises(CheckpointError, match=key):
+            Model.load(path, grammar)

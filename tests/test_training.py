@@ -41,16 +41,30 @@ def test_derivation_targets_missing_rule(tiny):
         encode_to_rules(stripped.ast, g, stripped.slot_values())
 
 
-def test_example_loss_positive_and_counts_steps(tiny):
+def test_example_loss_positive(tiny):
     exs, g = tiny
     cfg = RunConfig(dim=8, layers=3, mlp_hidden=8, dropout=0.0, seed=0)
     tv, terms, slots = vocabs_from_examples(exs)
     model = Model(g, cfg, tv, terms, slots, dtype=np.float64, seed=0)
     targets = encode_to_rules(exs[0].ast, g, exs[0].slot_values())
-    loss, n = example_loss(model, exs[0], targets, train=False)
-    assert n == len(targets)
+    loss = example_loss(model, exs[0], targets)
     assert loss.item() > 0
     loss.backward()  # differentiable end to end
+
+
+def test_example_loss_without_a_generator_applies_no_dropout(tiny):
+    """A pass trains iff it gets a generator: without one, dropout and
+    word dropout leave the loss as if both rates were 0."""
+    exs, g = tiny
+    vocabs = vocabs_from_examples(exs)
+    targets = encode_to_rules(exs[0].ast, g, exs[0].slot_values())
+    losses = []
+    for dropout, word_dropout in ((0.5, 0.3), (0.0, 0.0)):
+        cfg = RunConfig(dim=8, layers=3, mlp_hidden=8, dropout=dropout,
+                        word_dropout=word_dropout, seed=0)
+        model = Model(g, cfg, *vocabs, dtype=np.float64)
+        losses.append(example_loss(model, exs[0], targets).item())
+    assert losses[0] == losses[1]
 
 
 def test_single_example_memorization(tiny, tmp_path):
