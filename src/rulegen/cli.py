@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
-4 decode failure, 5 gradient-check exceedance.
+4 decode failure, 5 gradient-check exceedance, 6 numeric fault in training.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import os
 import sys
 
 from .ast_tree import token_yield
+from .autodiff import NumericFault
 from .config import ConfigError, RunConfig
 from .data import (
     DatasetError,
@@ -31,6 +32,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DECODE = 4
 EXIT_GRADCHECK = 5
+EXIT_NUMERIC = 6
 
 
 class CliError(Exception):
@@ -110,6 +112,9 @@ def cmd_train(args):
                        EXIT_VALIDATION)
     except OSError as e:
         raise CliError(f"cannot write to {args.out_dir}: {e}", EXIT_IO)
+    except NumericFault as e:   # say, a learning rate that blows up
+        raise CliError(f"{args.config}: training diverged at {e}",
+                       EXIT_NUMERIC)
     print(f"updates {result.updates}")
     return EXIT_OK
 

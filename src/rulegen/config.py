@@ -83,8 +83,12 @@ class RunConfig:
                      "beam_size", "max_decode_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("seed", "max_updates"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, "
+                                  f"got {getattr(self, name)}")
+        if not 0.0 <= self.stop_at_train_acc <= 1.0:
+            raise ConfigError("stop_at_train_acc must lie in [0, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if not 0.0 <= self.word_dropout < 1.0:

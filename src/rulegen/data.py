@@ -54,19 +54,26 @@ def ast_to_doc(node: AstNode) -> dict:
 
 
 def ast_from_doc(doc: dict) -> AstNode:
-    if not isinstance(doc, dict) or "symbol" not in doc:
-        raise DatasetError("AST node must be an object with a 'symbol'")
+    if (not isinstance(doc, dict) or not isinstance(doc.get("symbol"), str)
+            or not doc["symbol"]):
+        raise DatasetError(
+            "AST node must be an object with a non-empty string 'symbol'")
     name = doc["symbol"]
     if "terminal" in doc:
+        if not isinstance(doc["terminal"], str):
+            raise DatasetError(f"terminal of {name!r} must be a string")
         if doc.get("children"):
             raise DatasetError(f"terminal node {name!r} with children")
         return AstNode(Symbol(name, TERMINAL), doc["terminal"])
     sym = Symbol(name, NONTERMINAL, doc.get("node_class", STRUCTURAL))
+    scope = doc.get("scope")
+    if scope is not None and not isinstance(scope, str):
+        raise DatasetError(f"scope of {name!r} must be a string")
     children = doc.get("children", [])
     if not isinstance(children, list):
         raise DatasetError(f"children of {name!r} must be a list")
     children = tuple(ast_from_doc(c) for c in children)
-    return AstNode(sym, None, children, doc.get("scope"))
+    return AstNode(sym, None, children, scope)
 
 
 def example_to_line(ex: Example) -> str:

@@ -1,4 +1,4 @@
-"""Input-description tokenization, the token vocabulary, and the
+"""Input-description tokenization, its two reserved tokens, and the
 shortcut-connection CNN stack shared by every convolutional module.
 
 The stack follows the layer recurrence
@@ -23,37 +23,6 @@ def tokenize(description: str) -> list:
     """Lowercase, punctuation to spaces, split on whitespace runs."""
     toks = description.lower().translate(_PUNCT_TABLE).split()
     return toks if toks else [PAD_TOKEN]
-
-
-class TokenVocab:
-    """Dense token -> index map with reserved PAD=0 and UNK=1."""
-
-    def __init__(self, tokens=()):
-        self._index = {PAD_TOKEN: 0, UNK_TOKEN: 1}
-        for t in tokens:
-            if t not in self._index:
-                self._index[t] = len(self._index)
-
-    @classmethod
-    def build(cls, descriptions) -> "TokenVocab":
-        return cls(t for d in descriptions for t in tokenize(d))
-
-    def __len__(self):
-        return len(self._index)
-
-    def index(self, token) -> int:
-        return self._index.get(token, 1)
-
-    def indices(self, tokens) -> list:
-        return [self.index(t) for t in tokens]
-
-    def tokens(self) -> list:
-        return list(self._index)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self._index:
-                f.write(t + "\n")
 
 
 def shortcut_cnn(store, prefix, y0, layers, window, lengths=None):

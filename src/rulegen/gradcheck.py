@@ -87,8 +87,7 @@ def build_tiny_model(config: RunConfig):
     """Tiny corpus + model that exercises every head and the copy path."""
     examples = tiny_corpus(config.seed)
     grammar = induce_grammar([ex.ast for ex in examples])
-    token_vocab, terminals, slot_names = vocabs_from_examples(examples)
-    model = Model(grammar, config, token_vocab, terminals, slot_names,
+    model = Model(grammar, config, *vocabs_from_examples(examples),
                   dtype=np.float64)
     batches = [(ex, encode_to_rules(
         ex.ast, grammar, () if config.no_copy else ex.slot_values()))
@@ -121,6 +120,10 @@ OP_CHECKS = [
     ("add", ad.add, [(3, 4), (3, 4)]),
     ("add_bias", ad.add, [(3, 4), (4,)]),
     ("relu", ad.relu, [(4, 3)]),
+    ("scale", lambda a: ad.scale(a, -1.5), [(3, 4)]),
+    # a fresh generator per call draws the same mask at every evaluation
+    ("dropout", lambda a: ad.dropout(a, 0.5, np.random.default_rng(0)),
+     [(3, 4)]),
     # sum of a softmax is constant, so weight the entries before reducing
     ("softmax", lambda a, w: ad.matmul(ad.softmax(a), w), [(1, 6), (6, 1)]),
     ("concat", lambda a, b: ad.concat([a, b], axis=1), [(3, 2), (3, 4)]),

@@ -114,10 +114,6 @@ class Grammar:
     def rule_id(self, lhs_name, rhs_names, terminal_value=None):
         return self._by_key.get((lhs_name, tuple(rhs_names), terminal_value))
 
-    def symbol_order(self):
-        """Symbol names in a stable, serialization-defining order."""
-        return list(self.symbols)
-
 
 def _walk(node, path, visit):
     visit(node, path)
@@ -288,7 +284,7 @@ def grammar_from_json(text: str) -> Grammar:
             e.get("id"),  # Grammar checks that the ids are 0, 1, 2, ...
             symbol(e.get("lhs"), where),
             tuple(symbol(n, where) for n in _field(e, "rhs", where, list)),
-            e.get("terminal"),
+            _field(e, "terminal", where) if "terminal" in e else None,
         ))
     for key in ("scope_vocab", "scope_symbols"):
         names = doc.get(key, [])

@@ -35,7 +35,7 @@ from .ast_tree import (
     token_yield,
 )
 from .config import ConfigError, RunConfig
-from .encoder import TokenVocab, shortcut_cnn, tokenize
+from .encoder import PAD_TOKEN, UNK_TOKEN, shortcut_cnn, tokenize
 from .grammar import (
     Grammar,
     TERMINAL,
@@ -123,18 +123,19 @@ def grammar_hash(grammar: Grammar) -> str:
 
 class Model:
     def __init__(self, grammar: Grammar, config: RunConfig,
-                 token_vocab: TokenVocab, terminal_vocab, slot_name_vocab,
+                 token_vocab, terminal_vocab, slot_name_vocab,
                  dtype=np.float32, seed=None, store=None):
         self.grammar = grammar
         self.config = config
-        self.token_vocab = token_vocab
+        self.token_vocab = list(token_vocab)
         self.terminal_vocab = list(terminal_vocab)
         self.slot_name_vocab = list(slot_name_vocab)
         self.dtype = np.dtype(dtype)
 
-        self.sym_index = {name: i for i, name in enumerate(grammar.symbol_order())}
+        self.sym_index = {name: i for i, name in enumerate(grammar.symbols)}
         self.phd_index = len(self.sym_index)
         self.pad_index = len(self.sym_index) + 1
+        self.token_index = {t: i for i, t in enumerate(self.token_vocab)}
         self.term_index = {v: i for i, v in enumerate(self.terminal_vocab)}
         self.term_unk = len(self.terminal_vocab)
         self.slot_index = {n: i for i, n in enumerate(self.slot_name_vocab)}
@@ -266,8 +267,9 @@ class Model:
 
     def encode(self, description: str, rng=None):
         """Returns the per-position features and their (1, d) max-pool,
-        controller A. Given a generator, word dropout draws per token."""
-        idx = self.token_vocab.indices(tokenize(description))
+        controller A. An unknown token reads UNK (index 1); given a
+        generator, word dropout turns each token into UNK at its rate."""
+        idx = [self.token_index.get(t, 1) for t in tokenize(description)]
         rate = self.config.word_dropout
         if rng is not None and rate > 0.0:
             idx = [1 if rng.random() < rate else i for i in idx]
@@ -493,7 +495,7 @@ class Model:
             "config": json.loads(self.config.to_json()),
             "config_hash": self.config.hash(),
             "grammar_hash": grammar_hash(self.grammar),
-            "token_vocab": self.token_vocab.tokens(),
+            "token_vocab": self.token_vocab,
             "terminal_vocab": self.terminal_vocab,
             "slot_name_vocab": self.slot_name_vocab,
             "seed": self.config.seed,
@@ -521,25 +523,22 @@ class Model:
             raise CheckpointError("checkpoint config hash mismatch")
         if extras.get("grammar_hash") != grammar_hash(grammar):
             raise CheckpointError("checkpoint was trained on a different grammar")
-        vocab = TokenVocab(extras["token_vocab"][2:])
-        model = cls(grammar, config, vocab, extras["terminal_vocab"],
+        # PAD and UNK lead; a repeated token keeps its first index
+        tokens = dict.fromkeys([PAD_TOKEN, UNK_TOKEN]
+                               + extras["token_vocab"][2:])
+        model = cls(grammar, config, tokens, extras["terminal_vocab"],
                     extras["slot_name_vocab"], store=store)
         model._check_layout()
         return model
 
 
 def vocabs_from_examples(examples):
-    """(token vocab, terminal vocab, slot-name vocab) from training data."""
-    token_vocab = TokenVocab.build(ex.description for ex in examples)
-    terminals, seen_t = [], set()
-    slot_names, seen_s = [], set()
-    for ex in examples:
-        for v in token_yield(ex.ast):
-            if v not in seen_t:
-                seen_t.add(v)
-                terminals.append(v)
-        for n, _ in ex.slots:
-            if n not in seen_s:
-                seen_s.add(n)
-                slot_names.append(n)
-    return token_vocab, terminals, slot_names
+    """(tokens, terminal values, slot names) of the training data, each a
+    list in first-occurrence order; the tokens start with PAD and UNK, at
+    indices 0 and 1."""
+    tokens = [PAD_TOKEN, UNK_TOKEN] + [t for ex in examples
+                                       for t in tokenize(ex.description)]
+    terminals = [v for ex in examples for v in token_yield(ex.ast)]
+    slot_names = [n for ex in examples for n, _ in ex.slots]
+    return tuple(list(dict.fromkeys(v))
+                 for v in (tokens, terminals, slot_names))

@@ -83,8 +83,7 @@ class TrainResult:
 
 def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
           out_dir=None, log_print=False) -> TrainResult:
-    token_vocab, terminals, slot_names = vocabs_from_examples(train_examples)
-    model = Model(grammar, config, token_vocab, terminals, slot_names)
+    model = Model(grammar, config, *vocabs_from_examples(train_examples))
     rng = np.random.default_rng(config.seed + 1)
 
     usable = []
@@ -111,7 +110,9 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.json"), "w") as f:
             f.write(config.to_json())
-        token_vocab.save(os.path.join(out_dir, "vocab.txt"))
+        with open(os.path.join(out_dir, "vocab.txt"), "w",
+                  encoding="utf-8") as f:
+            f.write("".join(t + "\n" for t in model.token_vocab))
 
     def save_checkpoint():
         if out_dir:
@@ -122,55 +123,60 @@ def train(train_examples, dev_examples, grammar: Grammar, config: RunConfig,
     evals_since_best = 0
     pending = 0
     stop = False
-    for epoch in range(1, config.epochs + 1):
-        total_loss = 0.0
-        total_steps = 0
-        order = rng.permutation(len(usable))
-        for pos in order:
-            ex, targets = usable[pos]
-            loss = example_loss(model, ex, targets, rng)
-            loss.backward()
-            total_loss += loss.item()
-            del loss          # free this example's graph before the next
-            total_steps += len(targets)
-            pending += 1
-            if pending >= config.accumulation_window:
+    try:
+        for epoch in range(1, config.epochs + 1):
+            total_loss = 0.0
+            total_steps = 0
+            order = rng.permutation(len(usable))
+            for pos in order:
+                ex, targets = usable[pos]
+                loss = example_loss(model, ex, targets, rng)
+                loss.backward()
+                total_loss += loss.item()
+                del loss          # free this example's graph before the next
+                total_steps += len(targets)
+                pending += 1
+                if pending >= config.accumulation_window:
+                    _apply_update(model, config)
+                    pending = 0
+                    result.updates += 1
+                    if (config.max_updates
+                            and result.updates >= config.max_updates):
+                        stop = True
+                        break
+            if pending and epoch == config.epochs:
                 _apply_update(model, config)
                 pending = 0
                 result.updates += 1
-                if config.max_updates and result.updates >= config.max_updates:
-                    stop = True
-                    break
-        if pending and (stop or epoch == config.epochs):
-            _apply_update(model, config)
-            pending = 0
-            result.updates += 1
 
-        mean_loss = total_loss / max(total_steps, 1)
-        dev_acc = dev_bleu = None
-        if epoch % config.eval_interval == 0 or stop or epoch == config.epochs:
-            if dev_examples:
-                report = evaluate(model, dev_examples)
-                dev_acc, dev_bleu = report["str_acc"], report["bleu"]
-                if dev_acc > best_dev:
-                    best_dev = dev_acc
-                    evals_since_best = 0
-                    best_values = model.store.values.copy()
-                    save_checkpoint()
-                else:
-                    evals_since_best += 1
-            if config.stop_at_train_acc > 0:
-                train_report = evaluate(model, [ex for ex, _ in usable])
-                if train_report["str_acc"] >= config.stop_at_train_acc:
-                    stop = True
-        fmt = lambda v: f"{v:.4f}" if v is not None else "-"
-        log(f"epoch {epoch} loss {mean_loss:.6f} "
-            f"dev_acc {fmt(dev_acc)} dev_bleu {fmt(dev_bleu)}")
-        if dev_examples and evals_since_best > config.patience:
-            log(f"early stop after {epoch} epochs")
-            stop = True
-        if stop:
-            break
+            mean_loss = total_loss / max(total_steps, 1)
+            dev_acc = dev_bleu = None
+            if (epoch % config.eval_interval == 0 or stop
+                    or epoch == config.epochs):
+                if dev_examples:
+                    report = evaluate(model, dev_examples)
+                    dev_acc, dev_bleu = report["str_acc"], report["bleu"]
+                    if dev_acc > best_dev:
+                        best_dev = dev_acc
+                        evals_since_best = 0
+                        best_values = model.store.values.copy()
+                        save_checkpoint()
+                    else:
+                        evals_since_best += 1
+                if config.stop_at_train_acc > 0:
+                    train_report = evaluate(model, [ex for ex, _ in usable])
+                    if train_report["str_acc"] >= config.stop_at_train_acc:
+                        stop = True
+            fmt = lambda v: f"{v:.4f}" if v is not None else "-"
+            log(f"epoch {epoch} loss {mean_loss:.6f} "
+                f"dev_acc {fmt(dev_acc)} dev_bleu {fmt(dev_bleu)}")
+            if dev_examples and evals_since_best > config.patience:
+                log(f"early stop after {epoch} epochs")
+                stop = True
+            if stop:
+                break
+    except ad.NumericFault as e:
+        raise ad.NumericFault(f"epoch {epoch}: {e}") from None
 
     if best_values is None:
         save_checkpoint()

@@ -113,6 +113,14 @@ MALFORMED_RECORDS = {
     "slot_without_value": {"slots": [{"name": "n"}]},
     "id_a_list": {"id": [1]},
     "id_an_object": {"id": {"n": 1}},
+    "terminal_a_list": {"ast": {"symbol": "S", "children": [
+        {"symbol": "tok", "terminal": [1]}]}},
+    "terminal_a_number": {"ast": {"symbol": "S", "children": [
+        {"symbol": "tok", "terminal": 5}]}},
+    "symbol_a_list": {"ast": {"symbol": ["S"], "children": [
+        {"symbol": "tok", "terminal": "v"}]}},
+    "scope_a_list": {"ast": {"symbol": "S", "scope": ["x"], "children": [
+        {"symbol": "tok", "terminal": "v"}]}},
     "nested_900_deep": ('{"id": "a", "description": "x", "ast": '
                         + '{"symbol": "S", "children": [' * 900
                         + '{"symbol": "tok", "terminal": "v"}'
@@ -153,6 +161,8 @@ MALFORMED_GRAMMARS = {
     "not_an_object": '[{"version": 1}]',
     # the shared run's grammar with these entries set
     "null_start": {"start": None},
+    "rule_terminal_a_list": {"rules": [
+        {"id": 0, "lhs": "S", "rhs": ["tok"], "terminal": [1]}]},
 }
 
 
@@ -394,6 +404,33 @@ def test_train_config_with_a_negative_seed_exits_2(workdir, tmp_path):
                          "--grammar", workdir / "data" / "grammar.json",
                          "--config", bad, "--out-dir", tmp_path / "out")
     assert f"{bad}: seed must be non-negative" in stderr
+
+
+@pytest.mark.parametrize("key, value", [("max_updates", -1),
+                                        ("stop_at_train_acc", -0.5),
+                                        ("stop_at_train_acc", 1.5)])
+def test_train_config_out_of_range_exits_2(workdir, tmp_path, key, value):
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps({key: value}))
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", bad, "--out-dir", tmp_path / "out")
+    assert f"{bad}: {key} must" in stderr
+
+
+def test_train_that_diverges_exits_6(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lr": 1e30, "accumulation_window": 1,
+                                  "dim": 8, "layers": 2, "mlp_hidden": 8,
+                                  "epochs": 3}))
+    stderr = cli_rejects("train", "--data", workdir / "data" / "train.jsonl",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--config", config, "--out-dir", tmp_path / "out",
+                         code=6)
+    errors = [line for line in stderr.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: {config}: training diverged at epoch 1: "
+                      "non-finite values produced by conv_stack layer 1"]
 
 
 def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):

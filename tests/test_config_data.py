@@ -43,8 +43,11 @@ def test_config_validation():
         RunConfig(dropout=1.0)
     with pytest.raises(ConfigError):
         RunConfig(lr=0.0)
-    with pytest.raises(ConfigError, match="seed"):
-        RunConfig.from_json('{"seed": -1}')
+    for key, value in [("seed", -1), ("max_updates", -1),
+                       ("stop_at_train_acc", -0.5),
+                       ("stop_at_train_acc", 1.5)]:
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_json(json.dumps({key: value}))
     with pytest.raises(ConfigError):
         RunConfig.from_json("not json")
 

@@ -1,14 +1,14 @@
+import dataclasses
+
 import numpy as np
 
 from rulegen import autodiff as ad
-from rulegen.encoder import (
-    PAD_TOKEN,
-    TokenVocab,
-    UNK_TOKEN,
-    shortcut_cnn,
-    tokenize,
-)
+from rulegen.config import RunConfig
+from rulegen.data import synth_corpus
+from rulegen.encoder import PAD_TOKEN, UNK_TOKEN, shortcut_cnn, tokenize
+from rulegen.grammar import induce_grammar
 from rulegen.params import ParamStore
+from rulegen.training import train
 
 
 def test_tokenize_examples():
@@ -18,21 +18,15 @@ def test_tokenize_examples():
     assert tokenize("  lots \t of\nspace ") == ["lots", "of", "space"]
 
 
-def test_vocab_reserved_indices_and_unk():
-    v = TokenVocab.build(["hello world", "hello again"])
-    assert v.index(PAD_TOKEN) == 0
-    assert v.index(UNK_TOKEN) == 1
-    assert v.index("hello") == 2
-    assert v.index("nope") == 1
-    assert v.indices(["hello", "nope"]) == [2, 1]
-    assert len(v) == 5
-
-
 def test_vocab_save_writes_one_token_per_line_in_index_order(tmp_path):
-    v = TokenVocab.build(["alpha beta gamma"])
-    path = tmp_path / "vocab.txt"
-    v.save(path)
-    assert path.read_text(encoding="utf-8").splitlines() == [
+    ex = synth_corpus(num_ops=2, max_depth=1, count=1, seed=0)[0]
+    ex = dataclasses.replace(ex, description="alpha beta gamma")
+    g = induce_grammar([ex.ast])
+    cfg = RunConfig(dim=4, layers=1, mlp_hidden=4, epochs=1, dropout=0.0,
+                    seed=0, max_decode_steps=40)
+    train([ex], [], g, cfg, out_dir=str(tmp_path))
+    assert (tmp_path / "vocab.txt").read_text(
+        encoding="utf-8").splitlines() == [
         PAD_TOKEN, UNK_TOKEN, "alpha", "beta", "gamma"]
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 
 from rulegen import autodiff as ad
@@ -55,3 +57,16 @@ def test_op_check_readings_do_not_depend_on_the_other_entries(monkeypatch):
     monkeypatch.setattr(gradcheck, "OP_CHECKS", kept)
     assert gradcheck.run_op_checks(seed=3) == {
         name: full[name] for name, _, _ in kept}
+
+
+def test_every_public_op_has_a_finite_difference_check():
+    """Each public function of ``autodiff`` that builds a Tensor is named
+    by some OP_CHECKS entry; ``sum_all`` reduces every entry's output."""
+    ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+           if not name.startswith("_") and fn.__module__ == ad.__name__
+           and inspect.signature(fn).return_annotation == "Tensor"}
+    named = set()
+    for _, op, _ in gradcheck.OP_CHECKS:
+        named.add(op.__name__)
+        named.update(op.__code__.co_names)
+    assert ops - named == {"sum_all"}

@@ -170,6 +170,10 @@ MALFORMED_GRAMMAR_DOCS = {
                               []),
     "rule_id_not_an_int": ({"rules": [{"id": "0", "lhs": "S", "rhs": []}]},
                            []),
+    "rule_terminal_a_list": ({"rules": [
+        {"id": 0, "lhs": "V", "rhs": ["tok"], "terminal": [1]}]}, []),
+    "rule_terminal_a_number": ({"rules": [
+        {"id": 0, "lhs": "V", "rhs": ["tok"], "terminal": 5}]}, []),
     "scope_vocab_not_strings": ({"scope_vocab": [1]}, []),
     "unknown_start": ({"start": "Q"}, []),
     "no_start": ({}, ["start"]),

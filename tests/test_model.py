@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from oracles import trees_equal
 from rulegen import autodiff as ad
 from rulegen.ast_tree import AstNode, PartialAst, encode_to_rules
 from rulegen.config import RunConfig
+from rulegen.encoder import PAD_TOKEN, UNK_TOKEN
 from rulegen.grammar import NONTERMINAL, VARIABLE, Symbol
 from rulegen.model import (
     AGGREGATE_ORDER,
@@ -239,7 +243,42 @@ def test_save_load_roundtrip(small_model, fixture_grammar, tmp_path):
     for n in small_model.store.names():
         assert np.allclose(loaded.store[n].data, small_model.store[n].data,
                            atol=1e-6)
-    assert loaded.token_vocab.tokens() == small_model.token_vocab.tokens()
+    assert loaded.token_vocab == small_model.token_vocab
+    assert loaded.terminal_vocab == small_model.terminal_vocab
+    assert loaded.slot_name_vocab == small_model.slot_name_vocab
+
+
+def test_vocabularies_in_first_occurrence_order_with_reserved_tokens(
+        six_examples, fixture_grammar, small_config):
+    examples = [dataclasses.replace(ex, description=d) for ex, d in
+                zip(six_examples, ["hello world", "hello again", ""])]
+    tokens, terminals, slot_names = vocabs_from_examples(examples)
+    assert tokens == [PAD_TOKEN, UNK_TOKEN, "hello", "world", "again"]
+    assert len(set(terminals)) == len(terminals)
+    assert len(set(slot_names)) == len(slot_names)
+    model = Model(fixture_grammar, small_config, tokens, terminals,
+                  slot_names, dtype=np.float64, seed=0)
+    assert model.token_index == {t: i for i, t in enumerate(tokens)}
+    # an unseen token reads the UNK row, index 1
+    feats, _ = model.encode("hello nope")
+    expect, _ = model._sequence_cnn("emb/token", [[2, 1]], "enc/")
+    assert np.array_equal(feats.data, expect.data)
+
+
+def test_load_keeps_pad_and_unk_first_and_first_index_of_a_repeat(
+        small_model, fixture_grammar, tmp_path):
+    path = tmp_path / "model.bin"
+    small_model.save(path)
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    header = json.loads(raw[:nl])
+    tokens = header["extras"]["token_vocab"]
+    # a repeated entry past the reserved pair is dropped, as is a
+    # rewritten reserved pair
+    header["extras"]["token_vocab"] = ["x", "y"] + tokens[2:] + tokens[2:3]
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+    loaded = Model.load(path, fixture_grammar)
+    assert loaded.token_vocab == small_model.token_vocab
 
 
 def test_load_rejects_wrong_grammar(small_model, six_examples, tmp_path):

@@ -85,7 +85,10 @@ def test_train_writes_artifacts_and_logs(tiny, tmp_path):
     out = tmp_path / "run"
     result = train(exs, exs[:2], g, cfg, out_dir=str(out))
     assert (out / "config.json").exists()
-    assert (out / "vocab.txt").exists()
+    # one token per line, in index order, PAD and UNK first
+    assert (out / "vocab.txt").read_text(encoding="utf-8").splitlines() == \
+        result.model.token_vocab
+    assert result.model.token_vocab[:3] == ["<pad>", "<unk>", "fn2"]
     assert (out / "checkpoint.bin").exists()
     assert (out / "log.txt").exists()
     epoch_lines = [l for l in result.log_lines if l.startswith("epoch ")]
