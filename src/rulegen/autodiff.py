@@ -4,10 +4,23 @@ Only the shapes the model needs are supported: scalars, vectors and
 matrices. Every op checks its output for NaN/Inf and raises
 :class:`NumericFault` on the spot, so a blown-up forward pass fails
 loudly instead of poisoning the loss.
+
+Ops record the graph by default: each output keeps its parents and a
+backward closure, and :meth:`Tensor.backward` walks them. Inside a
+``with no_graph():`` block they record nothing: an output is a bare
+Tensor with no parents and no closure, so it holds no intermediate
+arrays alive. The values and the checks are the same either way. Beam
+search and the perturbed forwards of finite differences run this way;
+anything whose loss is backpropagated must be built outside the block.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+# whether ops record parents and backward closures; see no_graph()
+_recording = True
 
 
 class ShapeError(ValueError):
@@ -87,13 +100,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
+@contextlib.contextmanager
+def no_graph():
+    """Run ops without recording a graph; the previous setting comes back
+    on exit, also on an exception, so blocks nest."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _check_finite(arr, what):
-    if not np.isfinite(arr).all():
+    # one ufunc reduce: ndarray.all() goes through a Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericFault(f"non-finite values produced by {what}")
 
 
 def _make(data, parents, backward_fn, what):
     _check_finite(data, what)
+    if not _recording:
+        return Tensor(data)
     return Tensor(data, parents=parents, backward_fn=backward_fn)
 
 
@@ -145,10 +173,9 @@ def concat(tensors, axis=0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of nothing")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(out, tuple(tensors), bw, "concat")
@@ -200,13 +227,14 @@ def masked_log_softmax(x: Tensor, mask) -> Tensor:
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
     logp = shifted - np.log(z)
-    pm = e / z
+    _check_finite(logp[m], "masked_log_softmax")
+    if not _recording:
+        return Tensor(logp)
 
     def bw(g):
         gm = np.where(m, g, 0.0)
-        return (gm - pm * gm.sum(axis=-1, keepdims=True),)
+        return (gm - e / z * gm.sum(axis=-1, keepdims=True),)
 
-    _check_finite(logp[m], "masked_log_softmax")
     return Tensor(logp, parents=(x,), backward_fn=bw)
 
 
@@ -352,9 +380,9 @@ def conv_stack(x: Tensor, weights, k: int, lengths=None) -> Tensor:
     between them: each sequence gets the rows it would get alone.
 
     Every layer keeps the width d of x, so each weight is (k*d, d). The
-    window plan and one window buffer serve every layer. The node keeps
-    each layer's output for backward and rebuilds each layer's window from
-    it there.
+    window plan and one window buffer serve every layer. When it records,
+    the node keeps each layer's output for backward and rebuilds each
+    layer's window from it there.
     """
     weights = list(weights)
     if (x.data.ndim != 2 or not weights
@@ -393,6 +421,8 @@ def conv_stack(x: Tensor, weights, k: int, lengths=None) -> Tensor:
         # a -inf here would vanish after the ReLU, so check every layer
         _check_finite(z, f"conv_stack layer {layer}")
         ys.append(np.maximum(z, 0, out=z))
+    if not _recording:
+        return Tensor(ys[-1])
 
     def bw(g):
         # gy[l] is the gradient reaching y(l), popped once layer l is done.

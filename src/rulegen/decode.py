@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .model import DeadEndError, DecoderState, Model, advance, initial_state
 
 
@@ -48,10 +49,12 @@ def _sort_key(h: Hypothesis):
     return (-h.log_prob, h.state.rule_trace)
 
 
+@ad.no_graph()
 def beam_search(model: Model, description: str, slots=(),
                 beam_size=None) -> DecodeResult:
     """Decode ``description`` with ``beam_size`` hypotheses (the config's
-    beam size when None) within the config's step budget."""
+    beam size when None) within the config's step budget. Nothing is
+    backpropagated, so no forward records a graph."""
     cfg = model.config
     if beam_size is None:
         beam_size = cfg.beam_size

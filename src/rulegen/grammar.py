@@ -280,8 +280,13 @@ def grammar_from_json(text: str) -> Grammar:
     rules = []
     for i, e in enumerate(_objects(doc, "rules")):
         where = f"rules[{i}]"
+        rule_id = e.get("id")
+        # true == 1 and 0.0 == 0 would pass Grammar's dense-id check but
+        # write back differently, changing the grammar hash
+        if not isinstance(rule_id, int) or isinstance(rule_id, bool):
+            raise GrammarError(f"{where} needs an integer 'id'")
         rules.append(GrammarRule(
-            e.get("id"),  # Grammar checks that the ids are 0, 1, 2, ...
+            rule_id,  # Grammar checks that the ids are 0, 1, 2, ...
             symbol(e.get("lhs"), where),
             tuple(symbol(n, where) for n in _field(e, "rhs", where, list)),
             _field(e, "terminal", where) if "terminal" in e else None,

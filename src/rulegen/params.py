@@ -23,7 +23,8 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements per Adam slice: the update's temporaries stay this size
+# elements per slice of a pass over the flat buffers: the temporaries of an
+# Adam update and of the load-time finiteness scan stay this size
 ADAM_SLICE = 1 << 16
 
 
@@ -179,7 +180,7 @@ def load_params(path):
 
     The payload size the header implies is checked against the file size
     before any buffer is allocated, and the payload's CRC-32 against the
-    header's after it is read."""
+    header's after it is read; then every value must be finite."""
     with open(path, "rb") as f:
         header = _read_header(f)
         layout = [(e["name"], tuple(e["shape"])) for e in header["params"]]
@@ -205,4 +206,22 @@ def load_params(path):
         raise CheckpointError(
             f"payload checksum {crc} does not match the header's "
             f"{header.get('payload_crc32')!r}: the file is corrupted")
+    for part, buf in (("weights", store.values),
+                      ("Adam moments", store.moments)):
+        if buf is not None:
+            _check_finite_payload(buf.reshape(-1), part, layout)
     return store, header
+
+
+def _check_finite_payload(flat, part, layout):
+    """Raise CheckpointError naming the parameter of the first NaN or Inf
+    in ``flat``, which repeats the layout's values one or more times."""
+    for lo in range(0, flat.size, ADAM_SLICE):
+        finite = np.isfinite(flat[lo:lo + ADAM_SLICE])
+        if np.logical_and.reduce(finite, axis=None):
+            continue
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        at = (lo + int(np.argmin(finite))) % int(ends[-1])
+        name = layout[int(np.searchsorted(ends, at, side="right"))][0]
+        raise CheckpointError(f"checkpoint {part} of parameter {name!r} "
+                              "hold NaN or Inf")

@@ -377,6 +377,50 @@ def test_relu_nan_raises_numeric_fault():
         ad.relu(ad.Tensor(np.array([1.0, np.nan, -1.0])))
 
 
+def test_finite_check_covers_scalars_and_empty_arrays():
+    for ok in (np.float32(1.0), np.array(2.0), np.zeros((0, 3))):
+        ad._check_finite(ok, "op")
+    for bad in (np.float64(np.inf), np.array(np.nan),
+                np.array([[1.0, -np.inf]])):
+        with pytest.raises(ad.NumericFault, match="^non-finite values "
+                           "produced by op$"):
+            ad._check_finite(bad, "op")
+
+
+def graph_ops(x, w):
+    """A node from each way an op returns: through ``_make``, from
+    ``conv_stack`` and from ``masked_log_softmax``."""
+    y = ad.conv_stack(x, [w, w], 2)
+    y = ad.concat([ad.relu(ad.matmul(y, w, transpose_b=True)), y], axis=1)
+    return ad.masked_log_softmax(y, np.indices(y.shape).sum(axis=0) % 2 == 0)
+
+
+def test_no_graph_records_nothing_and_keeps_the_values():
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.standard_normal((4, 3)))
+    w = ad.Tensor(rng.standard_normal((6, 3)))
+    recorded = graph_ops(x, w)
+    assert recorded._parents and recorded._backward_fn is not None
+    with ad.no_graph():
+        bare = graph_ops(x, w)
+    assert bare._parents == () and bare._backward_fn is None
+    assert np.array_equal(bare.data, recorded.data)
+
+
+def test_no_graph_nests_and_restores_after_an_exception():
+    assert ad._recording
+    with ad.no_graph():
+        with ad.no_graph():
+            assert not ad._recording
+        assert not ad._recording
+        with pytest.raises(ad.NumericFault), ad.no_graph():
+            ad.relu(ad.Tensor(np.array([np.nan])))
+        assert not ad._recording
+    assert ad._recording
+    x = ad.Tensor(np.ones(2))
+    assert ad.relu(x)._parents == (x,)
+
+
 @settings(max_examples=25, deadline=None)
 @given(lengths=segment_lists, m=dims, seed=st.integers(0, 10**6))
 def test_segment_max_matches_max_over_rows(lengths, m, seed):

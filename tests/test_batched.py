@@ -98,6 +98,20 @@ def test_batched_rows_match_single_state_predictions(overrides):
     assert copy_rows > 0 or overrides.get("no_copy")
 
 
+@pytest.mark.parametrize("overrides", VARIANTS, ids=IDS)
+def test_predictions_without_a_graph_are_the_recorded_bits(overrides):
+    model, batches = tiny_model(overrides)
+    for ex, targets in batches:
+        states = gold_states(model, ex, targets)
+        for arg in [states] + states:
+            recorded = model.predict(arg, *model.encode(ex.description))
+            with ad.no_graph():
+                bare = model.predict(arg, *model.encode(ex.description))
+            assert recorded._backward_fn is not None
+            assert bare._parents == () and bare._backward_fn is None
+            assert np.array_equal(bare.data, recorded.data)
+
+
 def test_packed_attentive_pool_matches_one_pool_per_segment():
     rng = np.random.default_rng(3)
     lengths, d = [2, 1, 4], 3

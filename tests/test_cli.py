@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -297,6 +299,33 @@ def test_corrupted_checkpoint_exits_2(workdir, data):
                      "--input", "whatever"])
     assert code == 2
     assert f"invalid checkpoint {bad}" in err.getvalue()
+
+
+@pytest.mark.parametrize("copy, value, command", [
+    (0, np.inf, "generate"), (2, np.nan, "evaluate")],
+    ids=["inf_weight", "nan_second_moment"])
+def test_checkpoint_with_a_non_finite_value_exits_2(workdir, tmp_path, copy,
+                                                    value, command):
+    """A NaN or Inf under a matching CRC-32, in the weights or the Adam
+    moments: refused at load, naming the file and the parameter."""
+    raw = (workdir / "run" / "checkpoint.bin").read_bytes()
+    nl = raw.index(b"\n") + 1
+    header = json.loads(raw[:nl])
+    assert header["optimizer"]
+    payload = np.frombuffer(raw[nl:], dtype="<f4").copy()
+    sizes = [math.prod(e["shape"]) for e in header["params"]]
+    names = [e["name"] for e in header["params"]]
+    at = copy * sum(sizes) + sum(sizes[:names.index("emb/flag")]) + 3
+    payload[at] = value
+    header["payload_crc32"] = zlib.crc32(payload.tobytes())
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
+    argv = (["--input", "whatever"] if command == "generate"
+            else ["--data", workdir / "data" / "train.jsonl"])
+    stderr = cli_rejects(command, "--checkpoint", bad,
+                         "--grammar", workdir / "data" / "grammar.json", *argv)
+    assert f"invalid checkpoint {bad}" in stderr
+    assert "'emb/flag'" in stderr
 
 
 def default_args(workdir, tmp_path, command):

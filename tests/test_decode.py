@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rulegen import autodiff as ad
 from rulegen.ast_tree import encode_to_rules, token_yield
 from rulegen.config import RunConfig
 from rulegen.decode import beam_search
@@ -11,6 +12,7 @@ from rulegen.model import (
     initial_state,
     vocabs_from_examples,
 )
+from rulegen.training import example_loss
 
 
 def random_model(six_examples, fixture_grammar, seed, max_steps=60):
@@ -166,3 +168,27 @@ def test_step_log_probs_sum_to_each_hypothesis_score(six_examples,
             assert abs(sum(h.step_log_probs) - h.log_prob) <= 1e-6
         checked += 1
     assert checked >= 2
+
+
+def test_training_records_after_a_numeric_fault_in_beam_search(
+        six_examples, fixture_grammar):
+    """beam_search records no graph, and a fault inside it leaves recording
+    on: the next loss gets the gradients of a run that never decoded."""
+    model = random_model(six_examples, fixture_grammar, 0)
+    ex = six_examples[0]
+    targets = encode_to_rules(ex.ast, fixture_grammar, ex.slot_values())
+
+    def gradients():
+        model.store.zero_grad()
+        example_loss(model, ex, targets).backward()
+        return model.store.grads.copy()
+
+    before = gradients()
+    weight = model.store["emb/token"].data
+    saved = weight.copy()
+    weight[...] = np.inf
+    with pytest.raises(ad.NumericFault):
+        beam_search(model, ex.description, ex.slots)
+    weight[...] = saved
+    assert ad._recording
+    assert np.array_equal(gradients(), before)

@@ -170,6 +170,12 @@ MALFORMED_GRAMMAR_DOCS = {
                               []),
     "rule_id_not_an_int": ({"rules": [{"id": "0", "lhs": "S", "rhs": []}]},
                            []),
+    # dense by ==, but they would write back as true and 0.0
+    "rule_id_a_bool": ({"rules": [{"id": 0, "lhs": "S", "rhs": ["F", "B"]},
+                                  {"id": True, "lhs": "B", "rhs": ["A"]}]},
+                       []),
+    "rule_id_a_float": ({"rules": [{"id": 0.0, "lhs": "S",
+                                    "rhs": ["F", "B"]}]}, []),
     "rule_terminal_a_list": ({"rules": [
         {"id": 0, "lhs": "V", "rhs": ["tok"], "terminal": [1]}]}, []),
     "rule_terminal_a_number": ({"rules": [

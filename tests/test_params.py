@@ -233,6 +233,30 @@ def test_checkpoint_payload_byte_flip_fails_the_checksum(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("buffer, at, part, name", [
+    ("values", 0, "weights", "a"),
+    ("values", ADAM_SLICE + 3, "weights", "b"),
+    ("moments", (0, ADAM_SLICE + 2), "Adam moments", "a"),
+    ("moments", (1, 2 * ADAM_SLICE + 1), "Adam moments", "b"),
+    ("moments", (1, -1), "Adam moments", "c"),
+])
+def test_checkpoint_with_a_non_finite_value_is_refused(tmp_path, buffer, at,
+                                                       part, name):
+    """A NaN or Inf under a matching checksum, in any slice of the scan,
+    names the buffer and the parameter that holds it."""
+    layout = [("a", (ADAM_SLICE + 3,)), ("b", (7, ADAM_SLICE // 7 + 11)),
+              ("c", (5,))]
+    store = ParamStore(layout, dtype=np.float32)
+    store.moments = np.zeros((2, store.values.size), np.float32)
+    for value in (np.nan, -np.inf):
+        getattr(store, buffer)[at] = value
+        save_params(store, tmp_path / "ckpt.bin")
+        with pytest.raises(CheckpointError,
+                           match=f"^checkpoint {part} of parameter '{name}' "
+                                 "hold NaN or Inf$"):
+            load_params(tmp_path / "ckpt.bin")
+
+
 def test_checkpoint_version_1_is_refused(tmp_path):
     path = tmp_path / "ck.bin"
     save_params(make_store(dtype=np.float32), path)
