@@ -18,8 +18,9 @@ from .grammar import (
     NONTERMINAL,
     STRUCTURAL,
     Symbol,
-    TERMINAL,
     VARIABLE,
+    expansion_key,
+    preorder,
     validate_tree,
 )
 
@@ -44,12 +45,9 @@ def _chain(root: AstNode, path) -> list:
 
 def find_frontier(node: AstNode):
     """Path of the first pre-order unexpanded nonterminal, or None."""
-    if node.symbol.kind == NONTERMINAL and not node.children:
-        return ()
-    for i, child in enumerate(node.children):
-        sub = find_frontier(child)
-        if sub is not None:
-            return (i,) + sub
+    for n, path in preorder(node):
+        if n.symbol.kind == NONTERMINAL and not n.children:
+            return tuple(path)
     return None
 
 
@@ -75,16 +73,8 @@ class PartialAst:
 
 def token_yield(root: AstNode) -> list:
     """In-order terminal values; the textual projection of a tree."""
-    out = []
-
-    def walk(node):
-        if node.terminal_value is not None:
-            out.append(node.terminal_value)
-        for c in node.children:
-            walk(c)
-
-    walk(root)
-    return out
+    return [node.terminal_value for node, _ in preorder(root)
+            if node.terminal_value is not None]
 
 
 def _rebuild(root: AstNode, path, new_node, scope_value, scope_symbols):
@@ -159,30 +149,21 @@ def encode_to_rules(tree: AstNode, g: Grammar, slot_values=()) -> list:
     Raises MissingRuleError when neither exists.
     """
     validate_tree(tree)
-    r = g.num_rules
     out = []
-
-    def walk(node):
+    for node, _ in preorder(tree):
         if not node.children:
-            return
-        rhs_names = tuple(c.symbol.name for c in node.children)
-        value = None
-        if len(node.children) == 1 and node.children[0].symbol.kind == TERMINAL:
-            value = node.children[0].terminal_value
+            continue
+        key = lhs, rhs_names, value = expansion_key(node)
         if (value is not None and node.symbol.node_class == VARIABLE
                 and value in slot_values):
-            out.append(r + slot_values.index(value))
+            out.append(g.num_rules + slot_values.index(value))
         else:
-            rid = g.rule_id(node.symbol.name, rhs_names, value)
+            rid = g.rule_id(key)
             if rid is None:
                 raise MissingRuleError(
-                    f"no rule {node.symbol.name} -> {list(rhs_names)}"
+                    f"no rule {lhs} -> {list(rhs_names)}"
                     + (f" = {value!r}" if value is not None else ""))
             out.append(rid)
-        for c in node.children:
-            walk(c)
-
-    walk(tree)
     return out
 
 
@@ -214,31 +195,27 @@ def augmented_view(t: PartialAst):
         raise CompleteTreeError("placeholder view needs a frontier")
     nodes, parents, grands, units = [], [], [], []
     phd = AstNode(PHD_SYMBOL)
-    fpath = t.frontier_path
+    fpath = list(t.frontier_path)
+    open_nodes = []   # indices of the nodes entered and not yet left
 
     def add(node, parent_idx):
         idx = len(nodes)
         nodes.append(node)
         parents.append(parent_idx)
         grands.append(parents[parent_idx] if parent_idx >= 0 else -1)
+        units.append((idx, 0))
         return idx
 
-    def emit_phd(parent_idx):
-        pidx = add(phd, parent_idx)
-        units.append((pidx, 0))
-        units.append((pidx, 1))
-
-    def walk(node, path, parent_idx):
-        idx = add(node, parent_idx)
-        units.append((idx, 0))
-        for i, c in enumerate(node.children):
-            walk(c, path + (i,), idx)
-        if path == fpath and path == ():
-            emit_phd(idx)
-        units.append((idx, 1))
-        if path == fpath and path != ():
-            emit_phd(parent_idx)
-
-    walk(t.root, (), -1)
+    for node, path in preorder(t.root):
+        while len(open_nodes) > len(path):
+            units.append((open_nodes.pop(), 1))
+        open_nodes.append(add(node, open_nodes[-1] if open_nodes else -1))
+        if path == fpath:
+            # an unexpanded leaf: the placeholder is its child when it is
+            # the root, and its next sibling otherwise
+            if path:
+                units.append((open_nodes.pop(), 1))
+            units.append((add(phd, open_nodes[-1]), 1))
+    while open_nodes:
+        units.append((open_nodes.pop(), 1))
     return nodes, parents, grands, units
-

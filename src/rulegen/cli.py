@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
-4 decode failure, 5 gradient-check exceedance, 6 numeric fault in training.
+4 decode failure, 5 gradient-check exceedance, 6 numeric fault.
 """
 from __future__ import annotations
 
@@ -145,7 +145,11 @@ def cmd_generate(args):
         description, slots = ex.description, ex.slots
     else:
         description, slots = args.input, _parse_slots(args.slot)
-    result = beam_search(model, description, slots, beam_size=args.beam)
+    try:
+        result = beam_search(model, description, slots, beam_size=args.beam)
+    except NumericFault as e:   # say, finite weights too large to use
+        raise CliError(f"{args.checkpoint}: decoding failed at {e}",
+                       EXIT_NUMERIC)
     if result.failed:
         raise CliError("decode failure: no complete hypothesis", EXIT_DECODE)
     best = result.hypotheses[0]
@@ -167,7 +171,11 @@ def cmd_evaluate(args):
     grammar = _load_grammar(args.grammar)
     model = _load_model(args, grammar)
     examples = _load_examples(args.data)
-    report = evaluate(model, examples, bypass_gold=args.bypass_gold)
+    try:
+        report = evaluate(model, examples, bypass_gold=args.bypass_gold)
+    except NumericFault as e:
+        raise CliError(f"{args.checkpoint}: decoding failed at {e}",
+                       EXIT_NUMERIC)
     if args.report:
         _write_text(args.report, json.dumps(report, indent=2) + "\n")
     print(f"str_acc {report['str_acc']:.4f}")

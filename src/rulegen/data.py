@@ -122,7 +122,7 @@ def example_from_line(line: str) -> Example:
         validate_tree(ast)
         return Example(doc["id"], doc["description"], slots, ast)
     except RecursionError:
-        # json, ast_from_doc and validate_tree all recurse per level
+        # json and ast_from_doc recurse per level
         raise DatasetError("record is nested too deeply") from None
 
 

@@ -84,6 +84,38 @@ class GrammarRule:
                 self.terminal_value)
 
 
+def expansion_key(node) -> tuple:
+    """Key of the rule that expands ``node``: its symbol's name, its
+    children's names and the value of a lone terminal child, or None."""
+    kids = node.children
+    value = None
+    if len(kids) == 1 and kids[0].symbol.kind == TERMINAL:
+        value = kids[0].terminal_value
+    return (node.symbol.name, tuple(c.symbol.name for c in kids), value)
+
+
+def preorder(root):
+    """Yield ``(node, path)`` for each node under ``root`` in pre-order,
+    ``path`` being its child-index path. The walk keeps its own stack, so
+    any depth works, and takes linear time: ``path`` is one list updated
+    in place, so a caller that keeps it past the next node copies it."""
+    path = []
+    yield root, path
+    stack = [root.children]   # the siblings being walked at each depth
+    path.append(-1)
+    while stack:
+        path[-1] += 1
+        if path[-1] == len(stack[-1]):
+            stack.pop()
+            path.pop()
+            continue
+        node = stack[-1][path[-1]]
+        yield node, path
+        if node.children:
+            stack.append(node.children)
+            path.append(-1)
+
+
 class Grammar:
     """Immutable after construction; safe for shared reads."""
 
@@ -111,14 +143,9 @@ class Grammar:
     def num_rules(self) -> int:
         return len(self.rules)
 
-    def rule_id(self, lhs_name, rhs_names, terminal_value=None):
-        return self._by_key.get((lhs_name, tuple(rhs_names), terminal_value))
-
-
-def _walk(node, path, visit):
-    visit(node, path)
-    for i, child in enumerate(node.children):
-        _walk(child, path + (i,), visit)
+    def rule_id(self, key):
+        """Id of the rule filed under an ``expansion_key``, or None."""
+        return self._by_key.get(key)
 
 
 def _validate_node(node, path):
@@ -132,16 +159,15 @@ def _validate_node(node, path):
     if node.symbol.kind == TERMINAL and not has_value:
         raise StructuralInputError(
             f"terminal node at {list(path)} is missing its value")
-    if node.children:
-        term_children = [c for c in node.children
-                         if c.symbol.kind == TERMINAL]
-        if term_children and len(node.children) != 1:
-            raise StructuralInputError(
-                f"node at {list(path)} mixes terminal leaves with siblings")
+    if len(node.children) > 1 and any(c.symbol.kind == TERMINAL
+                                      for c in node.children):
+        raise StructuralInputError(
+            f"node at {list(path)} mixes terminal leaves with siblings")
 
 
 def validate_tree(root):
-    _walk(root, (), _validate_node)
+    for node, path in preorder(root):
+        _validate_node(node, path)
 
 
 def induce_grammar(corpus) -> "Grammar":
@@ -156,44 +182,32 @@ def induce_grammar(corpus) -> "Grammar":
 
     symbols: dict[str, Symbol] = {}
     rules: list[GrammarRule] = []
-    seen_keys: dict[tuple, int] = {}
-    scope_vocab: list[str] = []
-    scope_seen = set()
+    seen_keys = set()
+    scope_vocab: dict[str, None] = {}   # first-occurrence order
     scope_symbols = set()
 
-    def intern(sym: Symbol, path):
-        prev = symbols.get(sym.name)
-        if prev is None:
-            symbols[sym.name] = sym
-            return sym
+    def intern(sym: Symbol, path, *child):
+        prev = symbols.setdefault(sym.name, sym)
         if prev != sym:
-            raise StructuralInputError(
-                f"symbol {sym.name!r} redeclared inconsistently at {list(path)}")
+            raise StructuralInputError(f"symbol {sym.name!r} redeclared "
+                                       f"inconsistently at {[*path, *child]}")
         return prev
 
-    def visit(node, path):
-        _validate_node(node, path)
-        intern(node.symbol, path)
-        if node.scope_name is not None:
-            scope_symbols.add(node.symbol.name)
-            if node.scope_name not in scope_seen:
-                scope_seen.add(node.scope_name)
-                scope_vocab.append(node.scope_name)
-        if not node.children:
-            return
-        rhs = tuple(intern(c.symbol, path + (i,))
-                    for i, c in enumerate(node.children))
-        value = None
-        if len(node.children) == 1 and node.children[0].symbol.kind == TERMINAL:
-            value = node.children[0].terminal_value
-        key = (node.symbol.name, tuple(s.name for s in rhs), value)
-        if key not in seen_keys:
-            rid = len(rules)
-            seen_keys[key] = rid
-            rules.append(GrammarRule(rid, node.symbol, rhs, value))
-
     for tree in corpus:
-        _walk(tree, (), visit)
+        for node, path in preorder(tree):
+            _validate_node(node, path)
+            intern(node.symbol, path)
+            if node.scope_name is not None:
+                scope_symbols.add(node.symbol.name)
+                scope_vocab.setdefault(node.scope_name)
+            if not node.children:
+                continue
+            rhs = tuple(intern(c.symbol, path, i)
+                        for i, c in enumerate(node.children))
+            key = expansion_key(node)
+            if key not in seen_keys:
+                seen_keys.add(key)
+                rules.append(GrammarRule(len(rules), node.symbol, rhs, key[2]))
 
     return Grammar(rules, symbols, scope_vocab, scope_symbols,
                    start_symbol=corpus[0].symbol)

@@ -307,7 +307,7 @@ class Model:
                                                     self.term_unk))
                 is_term.append(1.0)
             else:
-                if node.symbol is PHD_SYMBOL or node.symbol.name == PHD_SYMBOL.name:
+                if node.symbol is PHD_SYMBOL:
                     sym_idx.append(self.phd_index)
                 else:
                     sym_idx.append(self.sym_index[node.symbol.name])

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from rulegen.ast_tree import AstNode
 from rulegen.config import RunConfig
 from oracles import random_tree
 from rulegen.data import load_dataset
-from rulegen.grammar import induce_grammar
+from rulegen.grammar import NONTERMINAL, TERMINAL, Symbol, induce_grammar
 from rulegen.model import Model, vocabs_from_examples
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -32,6 +33,14 @@ def manifest():
 @pytest.fixture(scope="session")
 def fixture_grammar(six_examples):
     return induce_grammar([ex.ast for ex in six_examples])
+
+
+@pytest.fixture(scope="session")
+def chain_grammar():
+    """Rule 0 is the recursive ``A -> A``, rule 1 ends a chain, ``A -> x``."""
+    a = Symbol("A", NONTERMINAL)
+    leaf = AstNode(a, None, (AstNode(Symbol("tok", TERMINAL), "x"),))
+    return induce_grammar([AstNode(a, None, (leaf,))])
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
 """Independent oracles for the tree code in ``rulegen.ast_tree`` and for
 the shortcut-CNN stack in ``rulegen.autodiff``.
 
-The package keeps one derivation walker (``encode_to_rules``) and one
-traversal view (``augmented_view``). The tests check them against the
-object-based builders here: a pre-order traversal with backtrack units
-and its stack-based inverse, the (node, parent, grandparent) triple at a
-path, a derivation replay that inverts ``encode_to_rules``, structural
-tree equality, and a bounded random tree sampler.
+The package walks every tree with one iterative walker,
+``grammar.preorder``; the derivation encoding (``encode_to_rules``) and
+the traversal view (``augmented_view``) are loops over it. The tests
+check them against the recursive, object-based builders here: a
+pre-order traversal with backtrack units and its stack-based inverse,
+the (node, parent, grandparent) triple at a path, a derivation replay
+that inverts ``encode_to_rules``, structural tree equality, and a
+bounded random tree sampler.
 
 The package runs a whole shortcut-CNN stack as one node
 (``conv_stack``). ``window_conv`` here is one layer of it as its own

@@ -17,6 +17,8 @@ import rulegen
 from rulegen import autodiff as ad
 from rulegen.cli import main
 from rulegen.config import RunConfig
+from rulegen.grammar import grammar_to_json
+from rulegen.model import Model
 
 
 def run(capsys, *argv):
@@ -308,24 +310,57 @@ def test_checkpoint_with_a_non_finite_value_exits_2(workdir, tmp_path, copy,
                                                     value, command):
     """A NaN or Inf under a matching CRC-32, in the weights or the Adam
     moments: refused at load, naming the file and the parameter."""
+    def edit(header, payload):
+        assert header["optimizer"]
+        sizes = [math.prod(e["shape"]) for e in header["params"]]
+        names = [e["name"] for e in header["params"]]
+        at = copy * sum(sizes) + sum(sizes[:names.index("emb/flag")]) + 3
+        payload[at] = value
+
+    bad = edited_checkpoint(workdir, tmp_path, edit)
+    stderr = cli_rejects(command, "--checkpoint", bad,
+                         *decode_args(workdir, command))
+    assert f"invalid checkpoint {bad}" in stderr
+    assert "'emb/flag'" in stderr
+
+
+def edited_checkpoint(workdir, tmp_path, edit):
+    """The shared run's checkpoint, its header and float32 payload passed
+    through ``edit`` in place and its CRC-32 recomputed, written under
+    ``tmp_path``."""
     raw = (workdir / "run" / "checkpoint.bin").read_bytes()
     nl = raw.index(b"\n") + 1
     header = json.loads(raw[:nl])
-    assert header["optimizer"]
     payload = np.frombuffer(raw[nl:], dtype="<f4").copy()
-    sizes = [math.prod(e["shape"]) for e in header["params"]]
-    names = [e["name"] for e in header["params"]]
-    at = copy * sum(sizes) + sum(sizes[:names.index("emb/flag")]) + 3
-    payload[at] = value
+    edit(header, payload)
     header["payload_crc32"] = zlib.crc32(payload.tobytes())
-    bad = tmp_path / "checkpoint.bin"
-    bad.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
-    argv = (["--input", "whatever"] if command == "generate"
-            else ["--data", workdir / "data" / "train.jsonl"])
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload.tobytes())
+    return path
+
+
+def decode_args(workdir, command):
+    """The arguments after ``--checkpoint`` of a valid ``generate`` or
+    ``evaluate`` call on the shared run."""
+    return ["--grammar", workdir / "data" / "grammar.json",
+            *(["--input", "whatever"] if command == "generate"
+              else ["--data", workdir / "data" / "train.jsonl"])]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_weights_too_large_to_decode_with_exit_6(workdir, tmp_path, command):
+    """Weights that are finite but huge load; the decoding forward that
+    overflows ends in one line that names the checkpoint and the op."""
+    def edit(header, payload):
+        payload[:sum(math.prod(e["shape"]) for e in header["params"])] = 1e30
+
+    bad = edited_checkpoint(workdir, tmp_path, edit)
     stderr = cli_rejects(command, "--checkpoint", bad,
-                         "--grammar", workdir / "data" / "grammar.json", *argv)
-    assert f"invalid checkpoint {bad}" in stderr
-    assert "'emb/flag'" in stderr
+                         *decode_args(workdir, command), code=6)
+    errors = [line for line in stderr.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: {bad}: decoding failed at non-finite values "
+                      "produced by conv_stack layer 1"]
 
 
 def default_args(workdir, tmp_path, command):
@@ -460,6 +495,25 @@ def test_train_that_diverges_exits_6(workdir, tmp_path):
               if line.startswith("error: ")]
     assert errors == [f"error: {config}: training diverged at epoch 1: "
                       "non-finite values produced by conv_stack layer 1"]
+
+
+def test_generate_past_the_recursion_limit_is_a_decode_failure(
+        chain_grammar, tmp_path):
+    """A model that always picks ``A -> A`` grows a chain as deep as its
+    step budget of 3000, three times Python's default recursion limit,
+    and ``generate`` reports the spent budget as a decode failure."""
+    config = RunConfig(dim=8, layers=1, mlp_hidden=8, max_decode_steps=3000)
+    model = Model(chain_grammar, config, ["<pad>", "<unk>"], ["x"], [],
+                  seed=0)
+    model.store["structural/mlp_b2"].data[0] = 100.0
+    checkpoint = tmp_path / "checkpoint.bin"
+    grammar = tmp_path / "grammar.json"
+    model.save(checkpoint)
+    grammar.write_text(grammar_to_json(chain_grammar))
+    stderr = cli_rejects("generate", "--checkpoint", checkpoint,
+                         "--grammar", grammar, "--input", "x", "--beam", "1",
+                         code=4)
+    assert "decode failure" in stderr
 
 
 def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):

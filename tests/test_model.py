@@ -6,10 +6,24 @@ import pytest
 
 from oracles import trees_equal
 from rulegen import autodiff as ad
-from rulegen.ast_tree import AstNode, PartialAst, encode_to_rules
+from rulegen.ast_tree import (
+    PHD_SYMBOL,
+    AstNode,
+    PartialAst,
+    encode_to_rules,
+    token_yield,
+)
 from rulegen.config import RunConfig
 from rulegen.encoder import PAD_TOKEN, UNK_TOKEN
-from rulegen.grammar import NONTERMINAL, VARIABLE, Symbol
+from rulegen.grammar import (
+    NONTERMINAL,
+    TERMINAL,
+    VARIABLE,
+    Symbol,
+    grammar_to_json,
+    induce_grammar,
+    validate_tree,
+)
 from rulegen.model import (
     AGGREGATE_ORDER,
     DeadEndError,
@@ -323,3 +337,39 @@ def test_load_rejects_a_parameter_layout_the_config_does_not_need(
 
 def test_grammar_hash_stable(fixture_grammar):
     assert grammar_hash(fixture_grammar) == grammar_hash(fixture_grammar)
+
+
+def test_a_dataset_symbol_named_like_the_placeholder_keeps_its_own_row():
+    """Only the placeholder object itself reads the placeholder's row; a
+    grammar symbol that happens to be named ``<phd>`` reads its own, in
+    tree conv and the pre-order CNN as in the path CNN."""
+    named_phd = Symbol("<phd>", NONTERMINAL)
+    tree = AstNode(named_phd, None, (AstNode(Symbol("tok", TERMINAL), "x"),))
+    g = induce_grammar([tree])
+    m = Model(g, RunConfig(dim=8, layers=1, mlp_hidden=8), ["<pad>", "<unk>"],
+              ["x"], [], dtype=np.float64, seed=0)
+    rows = m._node_inputs([AstNode(named_phd), AstNode(PHD_SYMBOL)]).data
+    emb = m.store["emb/symbol"].data
+    np.testing.assert_array_equal(rows[0], emb[m.sym_index["<phd>"]])
+    np.testing.assert_array_equal(rows[1], emb[m.phd_index])
+    assert m.sym_index["<phd>"] != m.phd_index
+
+
+def test_a_derivation_deeper_than_the_recursion_limit(chain_grammar):
+    """No tree pass takes a Python frame per level: a chain 1600 levels
+    deep, past the default limit of 1000 frames, derives, predicts, and
+    validates, yields, encodes and induces its grammar once finished."""
+    g, depth = chain_grammar, 1600
+    state = initial_state(g)
+    for _ in range(depth):
+        state = advance(state, 0, g)
+    assert len(state.partial_ast.frontier_path) == depth
+    m = Model(g, RunConfig(dim=8, layers=1, mlp_hidden=8),
+              [PAD_TOKEN, UNK_TOKEN], ["x"], [], dtype=np.float64, seed=0)
+    probs = predict_probs(m, state, "x")
+    assert probs.sum() == pytest.approx(1.0)
+    root = advance(state, 1, g).partial_ast.root
+    validate_tree(root)
+    assert token_yield(root) == ["x"]
+    assert encode_to_rules(root, g) == [0] * depth + [1]
+    assert grammar_to_json(induce_grammar([root])) == grammar_to_json(g)
