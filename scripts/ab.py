@@ -11,8 +11,9 @@ both run in one process and see the same phase of the machine. Both
 sides get the same inputs, generated by ``perfbench/corpus.py`` with the
 workload's seed and shapes (the configs and sizes mirror ``WORKLOADS`` in
 ``perfbench/run.py``). Before timing, the script checks that both sides
-give the same decode traces and log-probabilities, or the same training
-log, and says so when they differ.
+give the same decode traces and log-probabilities on every query of the
+pool that the timed rounds cycle through, or the same training log, and
+says so when they differ.
 
 The timed part runs ``--pairs`` pairs of chunks. A chunk is as many whole
 rounds of the workload as fit in ``--chunk`` seconds: one ``train`` call,
@@ -101,6 +102,17 @@ class Side:
         built.save(checkpoint)
         self.model = model_mod.Model.load(checkpoint, self.grammar)
 
+    def decode(self, queries):
+        """A comparable digest of the decodes of ``queries``."""
+        digest = []
+        for q in queries:
+            result = self.mods["decode"].beam_search(
+                self.model, q.description, q.slots, beam_size=self.beam)
+            digest.append([(h.rule_trace, float(h.log_prob).hex(),
+                            [float(s).hex() for s in h.step_log_probs])
+                           for h in result.hypotheses])
+        return digest
+
     def run_round(self):
         """One round; returns a comparable digest of its outputs."""
         if self.beam is None:
@@ -108,16 +120,17 @@ class Side:
                 self.examples, [], self.grammar, self.config,
                 out_dir=self.out_dir)
             return result.log_lines
-        digest = []
-        for i in range(self.per_round):
-            q = self.queries[(self.rounds * self.per_round + i) % self.pool]
-            result = self.mods["decode"].beam_search(
-                self.model, q.description, q.slots, beam_size=self.beam)
-            digest.append([(h.rule_trace, float(h.log_prob).hex(),
-                            [float(s).hex() for s in h.step_log_probs])
-                           for h in result.hypotheses])
+        first = self.rounds * self.per_round
         self.rounds += 1
-        return digest
+        return self.decode(self.queries[(first + i) % self.pool]
+                           for i in range(self.per_round))
+
+    def all_outputs(self):
+        """A digest of every output the timed rounds produce: one training
+        run, or the decodes of the whole query pool."""
+        if self.beam is None:
+            return self.run_round()
+        return self.decode(self.queries)
 
     def chunk(self, seconds):
         """Whole rounds until ``seconds`` have passed; rounds per second."""
@@ -172,8 +185,8 @@ def main(argv=None):
             sides[label] = Side(mods[label], args.workload, args.seed, tmp,
                                 work_dir)
 
-        # the first round of each side is its warm-up and the output check
-        same = sides["base"].run_round() == sides["change"].run_round()
+        # the warm-up of each side checks every output that is timed
+        same = sides["base"].all_outputs() == sides["change"].all_outputs()
         if not same:
             print("warning: the two trees give different outputs",
                   file=sys.stderr)

@@ -3,6 +3,13 @@
 A tree is immutable; expansion returns a fresh tree sharing untouched
 subtrees. The frontier is the first unexpanded nonterminal in
 depth-first pre-order, addressed by its child-index path from the root.
+A partial tree also carries its spine, the nodes from the root down to
+the frontier, which the tree-path CNN, the scope controller and the
+per-node-class heads read. Every pass over a tree is the one pre-order
+walk, ``grammar.preorder``: ``PartialAst.from_root`` runs it from the
+root to find the frontier, and an expansion rebuilds the spine down to
+the node it expanded and resumes the walk there, since every node
+before that one is already expanded.
 """
 from __future__ import annotations
 
@@ -35,30 +42,15 @@ class AstNode:
     scope_name: str | None = None
 
 
-def _chain(root: AstNode, path) -> list:
-    """Nodes from ``root`` down to the node at ``path``, inclusive."""
-    nodes = [root]
-    for i in path:
-        nodes.append(nodes[-1].children[i])
-    return nodes
-
-
-def find_frontier(node: AstNode):
-    """Path of the first pre-order unexpanded nonterminal, or None."""
-    for n, path in preorder(node):
-        if n.symbol.kind == NONTERMINAL and not n.children:
-            return tuple(path)
-    return None
-
-
 @dataclass(frozen=True)
 class PartialAst:
     root: AstNode
     frontier_path: tuple | None
+    spine: tuple = ()   # the nodes from the root to the frontier, inclusive
 
     @classmethod
     def from_root(cls, root: AstNode) -> "PartialAst":
-        return cls(root, find_frontier(root))
+        return _walk_to_frontier([root], [])
 
     @property
     def complete(self) -> bool:
@@ -66,9 +58,17 @@ class PartialAst:
 
     @property
     def frontier(self) -> AstNode | None:
-        if self.frontier_path is None:
-            return None
-        return _chain(self.root, self.frontier_path)[-1]
+        return self.spine[-1] if self.spine else None
+
+
+def _walk_to_frontier(spine, path) -> PartialAst:
+    """The tree under ``spine[0]``, its frontier found by the pre-order
+    walk resumed at ``spine[-1]``; every node before that is expanded."""
+    root = spine[0]
+    for node, _ in preorder(root, spine, path):
+        if node.symbol.kind == NONTERMINAL and not node.children:
+            return PartialAst(root, tuple(path), tuple(spine))
+    return PartialAst(root, None)
 
 
 def token_yield(root: AstNode) -> list:
@@ -77,40 +77,30 @@ def token_yield(root: AstNode) -> list:
             if node.terminal_value is not None]
 
 
-def _rebuild(root: AstNode, path, new_node, scope_value, scope_symbols):
-    """Replace the node at ``path`` and, when ``scope_value`` is set,
-    stamp it on the deepest scope-introducing ancestor lacking one."""
-    chain = _chain(root, path)
-    scope_at = -1
-    if scope_value is not None:
-        for depth in range(len(chain) - 1, -1, -1):
-            cand = chain[depth]
-            if cand.symbol.name in scope_symbols and cand.scope_name is None:
-                scope_at = depth
-                break
-    current = new_node
-    if scope_at == len(chain) - 1:
-        current = AstNode(current.symbol, current.terminal_value,
-                          current.children, scope_value)
-    for depth in range(len(path) - 1, -1, -1):
-        parent = chain[depth]
-        idx = path[depth]
-        children = parent.children[:idx] + (current,) + parent.children[idx + 1:]
-        scope = scope_value if depth == scope_at else parent.scope_name
-        current = AstNode(parent.symbol, parent.terminal_value, children, scope)
-    return current
-
-
-def _expand(t: PartialAst, children, scope_value, scope_symbols) -> PartialAst:
-    fnode = t.frontier
-    new_node = AstNode(fnode.symbol, None, tuple(children), fnode.scope_name)
-    return PartialAst.from_root(_rebuild(t.root, t.frontier_path, new_node,
-                                         scope_value, scope_symbols))
+def _rebuild(t: PartialAst, children, scope_value, scope_symbols) -> list:
+    """The spine of ``t`` with ``children`` given to its frontier and,
+    when ``scope_value`` is set, that value stamped on the deepest
+    scope-introducing node of the spine lacking one."""
+    spine, path = list(t.spine), t.frontier_path
+    for depth in range(len(path), -1, -1):
+        node = spine[depth]
+        if depth < len(path):
+            idx = path[depth]
+            children = (node.children[:idx] + (spine[depth + 1],)
+                        + node.children[idx + 1:])
+        scope = node.scope_name
+        if (scope is None and scope_value is not None
+                and node.symbol.name in scope_symbols):
+            scope, scope_value = scope_value, None
+        spine[depth] = AstNode(node.symbol, node.terminal_value, children,
+                               scope)
+    return spine
 
 
 def apply_rule(t: PartialAst, rule: GrammarRule,
                scope_symbols=frozenset()) -> PartialAst:
-    """Expand the frontier with ``rule``; pure (input untouched)."""
+    """Expand the frontier with ``rule``; pure (input untouched). A copy
+    applies the terminal rule ``lhs -> sym = value`` built on the spot."""
     if t.frontier_path is None:
         raise CompleteTreeError("cannot apply a rule to a complete tree")
     fnode = t.frontier
@@ -118,26 +108,12 @@ def apply_rule(t: PartialAst, rule: GrammarRule,
         raise IllegalApplicationError(
             f"rule {rule.id} expands {rule.lhs.name!r}, "
             f"frontier is {fnode.symbol.name!r}")
-    if rule.terminal_value is not None:
-        children = [AstNode(rule.rhs[0], rule.terminal_value)]
-    else:
-        children = [AstNode(s) for s in rule.rhs]
-    scope_value = None
-    if (fnode.symbol.node_class == FUNCTION_NAME
-            and rule.terminal_value is not None):
-        scope_value = rule.terminal_value
-    return _expand(t, children, scope_value, scope_symbols)
-
-
-def apply_copy(t: PartialAst, value: str, terminal_symbol: Symbol,
-               scope_symbols=frozenset()) -> PartialAst:
-    """Attach a copied terminal leaf at the frontier (slot-copy path)."""
-    if t.frontier_path is None:
-        raise CompleteTreeError("cannot copy into a complete tree")
-    fnode = t.frontier
-    scope_value = value if fnode.symbol.node_class == FUNCTION_NAME else None
-    return _expand(t, [AstNode(terminal_symbol, value)],
-                   scope_value, scope_symbols)
+    # a function name is the scope of its nearest scope-introducing node
+    scope_value = (rule.terminal_value
+                   if fnode.symbol.node_class == FUNCTION_NAME else None)
+    children = tuple(AstNode(s, rule.terminal_value) for s in rule.rhs)
+    return _walk_to_frontier(_rebuild(t, children, scope_value, scope_symbols),
+                             list(t.frontier_path))
 
 
 def encode_to_rules(tree: AstNode, g: Grammar, slot_values=()) -> list:
@@ -171,14 +147,14 @@ def root_path(t: PartialAst):
     """Nodes from the root down to the frontier, inclusive."""
     if t.frontier_path is None:
         raise CompleteTreeError("complete tree has no frontier path")
-    return _chain(t.root, t.frontier_path)
+    return t.spine
 
 
 def nearest_scope(t: PartialAst):
     """Scope name on the closest ancestor of the frontier (inclusive)."""
     if t.frontier_path is None:
         raise CompleteTreeError("complete tree has no frontier")
-    for node in reversed(root_path(t)):
+    for node in reversed(t.spine):
         if node.scope_name is not None:
             return node.scope_name
     return None

@@ -157,13 +157,17 @@ def cmd_generate(args):
     if args.show_ast:
         from .data import ast_to_doc
 
-        doc = {
-            "ast": ast_to_doc(best.ast),
-            "rule_trace": list(best.rule_trace),
-            "step_log_probs": result.step_log_probs,
-            "log_prob": best.log_prob,
-        }
-        print(json.dumps(doc, indent=2))
+        try:
+            text = json.dumps({
+                "ast": ast_to_doc(best.ast),
+                "rule_trace": list(best.rule_trace),
+                "step_log_probs": list(best.step_log_probs),
+                "log_prob": best.log_prob,
+            }, indent=2)
+        except RecursionError:   # the converter and the encoder recurse
+            raise CliError("cannot show the decoded tree: it is nested too "
+                           "deeply for JSON", EXIT_IO) from None
+        print(text)
     return EXIT_OK
 
 

@@ -38,7 +38,6 @@ class Hypothesis:
 @dataclass
 class DecodeResult:
     hypotheses: list       # complete, best first
-    step_log_probs: list   # per-step log p of the top hypothesis
 
     @property
     def failed(self) -> bool:
@@ -90,5 +89,4 @@ def beam_search(model: Model, description: str, slots=(),
         beam = candidates[:beam_size]
 
     complete = sorted((h for h in beam if h.complete), key=_sort_key)
-    return DecodeResult(complete,
-                        list(complete[0].step_log_probs) if complete else [])
+    return DecodeResult(complete)

@@ -94,26 +94,37 @@ def expansion_key(node) -> tuple:
     return (node.symbol.name, tuple(c.symbol.name for c in kids), value)
 
 
-def preorder(root):
+def preorder(root, spine=None, path=None):
     """Yield ``(node, path)`` for each node under ``root`` in pre-order,
-    ``path`` being its child-index path. The walk keeps its own stack, so
-    any depth works, and takes linear time: ``path`` is one list updated
-    in place, so a caller that keeps it past the next node copies it."""
-    path = []
-    yield root, path
-    stack = [root.children]   # the siblings being walked at each depth
-    path.append(-1)
-    while stack:
-        path[-1] += 1
-        if path[-1] == len(stack[-1]):
-            stack.pop()
-            path.pop()
-            continue
-        node = stack[-1][path[-1]]
-        yield node, path
-        if node.children:
-            stack.append(node.children)
-            path.append(-1)
+    ``path`` being its child-index path.
+
+    Given the ``spine`` of a node (the nodes from ``root`` down to it) and
+    its ``path``, the walk starts at that node and goes on through the
+    rest of the tree. The walk's only state is ``spine`` and ``path``, two
+    lists updated in place with ``spine[-1]`` the node yielded, so any
+    depth works and a walk takes linear time; a caller that keeps them
+    past the next node copies them."""
+    if spine is None:
+        spine, path = [root], []
+    yield spine[-1], path
+    while True:
+        children = spine[-1].children
+        if children:
+            spine.append(children[0])
+            path.append(0)
+        else:   # climb to the nearest ancestor with a next child
+            while path:
+                i = path[-1] + 1
+                siblings = spine[-2].children
+                if i < len(siblings):
+                    spine[-1] = siblings[i]
+                    path[-1] = i
+                    break
+                spine.pop()
+                path.pop()
+            else:
+                return
+        yield spine[-1], path
 
 
 class Grammar:

@@ -27,7 +27,6 @@ from .ast_tree import (
     PHD_SYMBOL,
     AstNode,
     PartialAst,
-    apply_copy,
     apply_rule,
     augmented_view,
     nearest_scope,
@@ -38,6 +37,7 @@ from .config import ConfigError, RunConfig
 from .encoder import PAD_TOKEN, UNK_TOKEN, shortcut_cnn, tokenize
 from .grammar import (
     Grammar,
+    GrammarRule,
     TERMINAL,
     VARIABLE,
     copy_terminal_symbol,
@@ -84,13 +84,12 @@ def advance(state: DecoderState, target: int, grammar: Grammar) -> DecoderState:
     """Apply a predicted target: a rule id, or R+j for copying slot j."""
     r = grammar.num_rules
     if target < r:
-        ast = apply_rule(state.partial_ast, grammar.rules[target],
-                         grammar.scope_symbols)
+        rule = grammar.rules[target]
     else:
-        j = target - r
-        value = state.slots[j][1]
-        sym = copy_terminal_symbol(grammar, state.partial_ast.frontier.symbol)
-        ast = apply_copy(state.partial_ast, value, sym, grammar.scope_symbols)
+        lhs = state.partial_ast.frontier.symbol
+        rule = GrammarRule(target, lhs, (copy_terminal_symbol(grammar, lhs),),
+                           state.slots[target - r][1])
+    ast = apply_rule(state.partial_ast, rule, grammar.scope_symbols)
     return DecoderState(state.rule_trace + (target,), ast, state.slots)
 
 

@@ -6,9 +6,9 @@ The package walks every tree with one iterative walker,
 the traversal view (``augmented_view``) are loops over it. The tests
 check them against the recursive, object-based builders here: a
 pre-order traversal with backtrack units and its stack-based inverse,
-the (node, parent, grandparent) triple at a path, a derivation replay
-that inverts ``encode_to_rules``, structural tree equality, and a
-bounded random tree sampler.
+the first unexpanded nonterminal, the (node, parent, grandparent)
+triple at a path, a derivation replay that inverts ``encode_to_rules``,
+structural tree equality, and a bounded random tree sampler.
 
 The package runs a whole shortcut-CNN stack as one node
 (``conv_stack``). ``window_conv`` here is one layer of it as its own
@@ -116,6 +116,18 @@ def preorder_with_backtrack(t: PartialAst, with_placeholder: bool):
 
     walk(t.root, ())
     return units
+
+
+def first_unexpanded(node: AstNode, path=()):
+    """Path of the first unexpanded nonterminal under ``node`` in
+    pre-order, found by recursion; None when the tree is complete."""
+    if node.symbol.kind == NONTERMINAL and not node.children:
+        return path
+    for i, child in enumerate(node.children):
+        found = first_unexpanded(child, path + (i,))
+        if found is not None:
+            return found
+    return None
 
 
 def context_triple(root: AstNode, path):

@@ -8,6 +8,7 @@ from oracles import (
     VISIT,
     context_triple,
     decode_from_rules,
+    first_unexpanded,
     node_count,
     preorder_with_backtrack,
     reconstruct_from_traversal,
@@ -22,17 +23,18 @@ from rulegen.ast_tree import (
     apply_rule,
     augmented_view,
     encode_to_rules,
-    find_frontier,
     nearest_scope,
     root_path,
     token_yield,
 )
 from rulegen.grammar import (
+    GrammarRule,
     MissingRuleError,
     NONTERMINAL,
     STRUCTURAL,
     Symbol,
     TERMINAL,
+    preorder,
 )
 
 NT = lambda n: Symbol(n, NONTERMINAL, STRUCTURAL)
@@ -177,13 +179,57 @@ def test_apply_rule_errors(fixture_grammar):
 
 
 def test_frontier_law_under_application(fixture_grammar, random_trees):
+    """After each application the frontier is the recursive oracle's first
+    unexpanded nonterminal, down to the complete tree, which has none."""
     g = fixture_grammar
     for tree in random_trees[:30]:
         rules = encode_to_rules(tree, g)
         t = PartialAst.from_root(AstNode(tree.symbol))
         for rid in rules:
             t = apply_rule(t, g.rules[rid], g.scope_symbols)
-            assert t.frontier_path == find_frontier(t.root)
+            assert t.frontier_path == first_unexpanded(t.root)
+        assert t.complete and first_unexpanded(t.root) is None
+        assert t.frontier is None
+
+
+def test_preorder_resumed_at_a_spine_walks_the_tail(random_trees):
+    """Started at any node's spine and path, the walk yields exactly the
+    rest of the walk from the root, keeping the spine on the node."""
+    for tree in random_trees[:40]:
+        full = [(node, tuple(path)) for node, path in preorder(tree)]
+        for k, (start, start_path) in enumerate(full):
+            spine = [tree]
+            for i in start_path:
+                spine.append(spine[-1].children[i])
+            assert spine[-1] is start
+            tail = []
+            for node, path in preorder(tree, spine, list(start_path)):
+                assert spine[-1] is node and len(spine) == len(path) + 1
+                tail.append((node, tuple(path)))
+            assert len(tail) == len(full) - k
+            assert all(a is b and pa == pb
+                       for (a, pa), (b, pb) in zip(tail, full[k:]))
+
+
+def test_expansion_resumes_into_an_expanded_right_sibling():
+    """The next unexpanded node may sit inside an expanded sibling to the
+    right of the frontier, which no derivation builds: the resumed walk
+    still lands the frontier and the spine there."""
+    n7 = AstNode(NT("n7"))  # unexpanded, under the expanded n5
+    n5 = AstNode(NT("n5"), None, (n7,))
+    n3 = AstNode(NT("n3"), None, (AstNode(Symbol("n6", TERMINAL), "n6"),))
+    n2 = AstNode(NT("n2"), None, (n3, AstNode(NT("n4")), n5))
+    t = PartialAst.from_root(AstNode(NT("n1"), None, (n2,)))
+    assert t.frontier_path == (0, 1)
+    leaf = Symbol("x", TERMINAL)
+    t = apply_rule(t, GrammarRule(0, NT("n4"), (leaf,), "x"))
+    assert t.frontier_path == (0, 2, 0) == first_unexpanded(t.root)
+    assert t.frontier is n7
+    assert [n.symbol.name for n in root_path(t)] == ["n1", "n2", "n5", "n7"]
+    assert root_path(t)[0] is t.root
+    for depth, i in enumerate(t.frontier_path):
+        assert root_path(t)[depth + 1] is root_path(t)[depth].children[i]
+    assert t.root.children[0].children[1].children[0].terminal_value == "x"
 
 
 def test_root_path_is_parent_chain(fixture_grammar, random_trees):

@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 
 import rulegen
 from rulegen import autodiff as ad
+from rulegen import cli
 from rulegen.cli import main
 from rulegen.config import RunConfig
+from rulegen.decode import DecodeResult, Hypothesis
 from rulegen.grammar import grammar_to_json
-from rulegen.model import Model
+from rulegen.model import Model, advance, initial_state
 
 
 def run(capsys, *argv):
@@ -514,6 +516,33 @@ def test_generate_past_the_recursion_limit_is_a_decode_failure(
                          "--grammar", grammar, "--input", "x", "--beam", "1",
                          code=4)
     assert "decode failure" in stderr
+
+
+def test_generate_show_ast_too_deep_for_json_exits_3(chain_grammar, tmp_path,
+                                                     capsys, monkeypatch):
+    """A decoded tree 600 levels deep is past what the recursive AST
+    converter and the JSON encoder can nest: ``--show-ast`` prints the
+    token yield, then ends in one error line and exit 3."""
+    state = initial_state(chain_grammar)
+    for _ in range(600):
+        state = advance(state, 0, chain_grammar)
+    state = advance(state, 1, chain_grammar)
+    best = Hypothesis(state, -1.0, (-1.0,) + (0.0,) * 600)
+    monkeypatch.setattr(cli, "beam_search",
+                        lambda *args, **kwargs: DecodeResult([best]))
+    config = RunConfig(dim=8, layers=1, mlp_hidden=8)
+    model = Model(chain_grammar, config, ["<pad>", "<unk>"], ["x"], [],
+                  seed=0)
+    checkpoint, grammar = tmp_path / "checkpoint.bin", tmp_path / "g.json"
+    model.save(checkpoint)
+    grammar.write_text(grammar_to_json(chain_grammar))
+    code, stdout, stderr = run(capsys, "generate", "--checkpoint",
+                               str(checkpoint), "--grammar", str(grammar),
+                               "--input", "x", "--show-ast")
+    assert code == 3
+    assert stdout == "x\n"
+    assert stderr == ("error: cannot show the decoded tree: it is nested "
+                      "too deeply for JSON\n")
 
 
 def test_train_config_of_the_wrong_type_exits_2(workdir, tmp_path):
