@@ -21,7 +21,7 @@ from .data import (
     save_dataset,
     synth_corpus,
 )
-from .decode import beam_search
+from .decode import DEAD_END, STEP_BUDGET, beam_search
 from .grammar import GrammarError, grammar_from_json, grammar_to_json, induce_grammar
 from .model import Model
 from .params import CheckpointError
@@ -151,7 +151,11 @@ def cmd_generate(args):
         raise CliError(f"{args.checkpoint}: decoding failed at {e}",
                        EXIT_NUMERIC)
     if result.failed:
-        raise CliError("decode failure: no complete hypothesis", EXIT_DECODE)
+        why = {STEP_BUDGET: "the step budget of "
+                            f"{model.config.max_decode_steps} ran out",
+               DEAD_END: "every hypothesis reached a dead end"}[result.cause]
+        raise CliError(f"decode failure: no complete hypothesis ({why})",
+                       EXIT_DECODE)
     best = result.hypotheses[0]
     print(" ".join(token_yield(best.ast)))
     if args.show_ast:

@@ -35,9 +35,16 @@ class Hypothesis:
         return self.state.partial_ast.root
 
 
+# Why a decode ends with no complete hypothesis.
+STEP_BUDGET = "step_budget"   # max_decode_steps ran out first
+DEAD_END = "dead_end"         # every hypothesis reached a dead end
+FAILURE_CAUSES = (STEP_BUDGET, DEAD_END)
+
+
 @dataclass
 class DecodeResult:
     hypotheses: list       # complete, best first
+    cause: str | None = None   # one of FAILURE_CAUSES when none completed
 
     @property
     def failed(self) -> bool:
@@ -53,40 +60,53 @@ def beam_search(model: Model, description: str, slots=(),
                 beam_size=None) -> DecodeResult:
     """Decode ``description`` with ``beam_size`` hypotheses (the config's
     beam size when None) within the config's step budget. Nothing is
-    backpropagated, so no forward records a graph."""
+    backpropagated, so no forward records a graph, and the features that
+    recur across the decode's predictions are computed once (``memo``;
+    see ``Model.aggregate``).
+
+    A candidate is ``(log_prob, rule_trace, parent, target, step)``: the
+    parent hypothesis extended by ``target`` at log-prob ``step``, or a
+    complete parent carried over (target None). Candidates rank by
+    ``(-log_prob, rule_trace)``, and only the kept ones are advanced.
+    """
     cfg = model.config
     if beam_size is None:
         beam_size = cfg.beam_size
     grammar = model.grammar
     enc_feats, ctrl = model.encode(description)
+    memo = {}
 
-    start = Hypothesis(initial_state(grammar, slots), 0.0)
-    beam = [start]
+    beam = [Hypothesis(initial_state(grammar, slots), 0.0)]
+    cause = STEP_BUDGET
     for _ in range(cfg.max_decode_steps):
         if all(h.complete for h in beam):
             break
         candidates = []
         for h in beam:
             if h.complete:
-                candidates.append(h)
+                candidates.append((h.log_prob, h.rule_trace, h, None, None))
                 continue
             try:
-                logp = model.predict(h.state, enc_feats, ctrl)
+                lp = model.predict(h.state, enc_feats, ctrl, memo=memo).data
             except DeadEndError:
                 continue
-            lp = logp.data
             order = np.argsort(-lp, kind="stable")
             for idx in order[:beam_size]:
                 if not np.isfinite(lp[idx]):
                     break
                 step = float(lp[idx])
-                candidates.append(Hypothesis(
-                    advance(h.state, int(idx), grammar), h.log_prob + step,
-                    h.step_log_probs + (step,)))
+                target = int(idx)
+                candidates.append((h.log_prob + step,
+                                   h.rule_trace + (target,), h, target, step))
         if not candidates:
+            cause = DEAD_END
             break
-        candidates.sort(key=_sort_key)
-        beam = candidates[:beam_size]
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beam = [parent if target is None else Hypothesis(
+                    advance(parent.state, target, grammar), log_prob,
+                    parent.step_log_probs + (step,))
+                for log_prob, _, parent, target, step
+                in candidates[:beam_size]]
 
     complete = sorted((h for h in beam if h.complete), key=_sort_key)
-    return DecodeResult(complete)
+    return DecodeResult(complete, None if complete else cause)

@@ -116,6 +116,26 @@ def attentive_pool(candidates, controller, weight, lengths=None):
     return ad.matmul(ad.softmax(logits, mask), candidates)
 
 
+def _memo_rows(memo, name, keys, compute):
+    """``compute(keys)``, one row per key. Given a memo, the rows are read
+    from it under ``name``, and one ``compute`` call gives the rows of the
+    distinct keys it lacks. The memo keeps each row as a (1, d) tensor,
+    handed out as it is to a call with one key."""
+    if memo is None:
+        return compute(keys)
+    if len(keys) == 1:
+        key = (name, keys[0])
+        if key not in memo:
+            memo[key] = compute(keys)
+        return memo[key]
+    missing = [k for k in dict.fromkeys(keys) if (name, k) not in memo]
+    if missing:
+        rows = compute(missing).data
+        for i, k in enumerate(missing):
+            memo[name, k] = ad.Tensor(rows[i:i + 1])
+    return ad.Tensor(np.concatenate([memo[name, k].data for k in keys]))
+
+
 def grammar_hash(grammar: Grammar) -> str:
     return hashlib.sha256(grammar_to_json(grammar).encode("utf-8")).hexdigest()
 
@@ -275,16 +295,20 @@ class Model:
         feats, lengths = self._sequence_cnn("emb/token", [idx], "enc/")
         return feats, ad.segment_max(feats, lengths)
 
-    def _scope_controller(self, states):
-        """Controller B, one row per state: the embedding of the nearest
-        enclosing scope name, or zeros where there is none."""
-        n = len(states)
-        rows = [None] * n
-        if not self.config.no_scope:
-            rows = [self.scope_index.get(nearest_scope(s.partial_ast))
-                    for s in states]
+    def _scope_rows(self, states):
+        """Each state's scope-embedding row: that of the nearest enclosing
+        scope name, or None where there is none (or no scope input)."""
+        if self.config.no_scope:
+            return [None] * len(states)
+        return [self.scope_index.get(nearest_scope(s.partial_ast))
+                for s in states]
+
+    def _scope_controller(self, rows):
+        """Controller B, one row per scope row: its embedding, or zeros
+        for None."""
         if all(r is None for r in rows):
-            return ad.Tensor(np.zeros((n, self.config.dim), dtype=self.dtype))
+            return ad.Tensor(np.zeros((len(rows), self.config.dim),
+                                      dtype=self.dtype))
         emb = ad.gather_rows(self.store["emb/scope"],
                              [0 if r is None else r for r in rows])
         if any(r is None for r in rows):
@@ -373,18 +397,50 @@ class Model:
                   or [self.rule_pad] for s in states]
         return self._sequence_cnn("emb/rule", traces, f"{head}/rule/")
 
-    def path_features(self, states, head: str):
-        """Tree-path CNN over each state's root-to-frontier chain."""
-        paths = [[self.sym_index[n.symbol.name]
-                  for n in root_path(s.partial_ast)] for s in states]
+    def path_symbols(self, state):
+        """The symbol rows of a state's root-to-frontier chain."""
+        return tuple(self.sym_index[n.symbol.name]
+                     for n in root_path(state.partial_ast))
+
+    def path_features(self, paths, head: str):
+        """Tree-path CNN over root-to-frontier chains (``path_symbols``)."""
         return self._sequence_cnn("emb/symbol", paths, f"{head}/path/")
 
-    def aggregate(self, states, enc_feats, enc_controller, head: str):
-        """Pooled features in AGGREGATE_ORDER, one row per state."""
+    def aggregate(self, states, enc_feats, enc_controller, head: str,
+                  memo=None):
+        """Pooled features in AGGREGATE_ORDER, one row per state.
+
+        With the weights and the encoder features fixed, the tree-path
+        pool is a function of the head and the path's symbols, controller
+        B of the scope row, and the encoder pool of the head and the scope
+        row. Given a ``memo`` dict that lives for one decode, those rows
+        come from it; the distinct keys it lacks are computed in one
+        packed pass and stored.
+        """
         cfg = self.config
+        n = len(states)
         # controller A is the encoder max-pool, and so also max(encoder)
-        ctrl_a = ad.gather_rows(enc_controller, [0] * len(states))
-        ctrl_b = self._scope_controller(states)
+        ctrl_a = ad.gather_rows(enc_controller, [0] * n)
+
+        # A pass over m == n keys covers every state in order, and shares
+        # the controllers of the full pass.
+        def ctrl_a_rows(m):
+            return ctrl_a if m == n else ad.gather_rows(enc_controller,
+                                                        [0] * m)
+
+        def path_pool(paths):
+            return self._pool(*self.path_features(paths, head),
+                              ctrl_a_rows(len(paths)), f"{head}/att_path")
+
+        def enc_pool(rows):
+            if cfg.attention_to_maxpool:
+                return ctrl_a_rows(len(rows))
+            ctrl = ctrl_b if len(rows) == n else self._scope_controller(rows)
+            return attentive_pool(enc_feats, ctrl,
+                                  self.store[f"{head}/att_enc"])
+
+        scopes = self._scope_rows(states)
+        ctrl_b = _memo_rows(memo, "ctrl_b", scopes, self._scope_controller)
         y_ast, node_lengths, units = self.ast_features(states, head)
         feats_pre, pre_lengths = self.preorder_features(y_ast, node_lengths,
                                                         units, head)
@@ -394,15 +450,13 @@ class Model:
             parts["att_rule"] = self._pool(*self.rule_features(states, head),
                                            ctrl_a, f"{head}/att_rule")
         if "att_path" in slots:
-            parts["att_path"] = self._pool(*self.path_features(states, head),
-                                           ctrl_a, f"{head}/att_path")
+            parts["att_path"] = _memo_rows(
+                memo, ("att_path", head),
+                [self.path_symbols(s) for s in states], path_pool)
         parts["att_pre"] = self._pool(feats_pre, pre_lengths, ctrl_b,
                                       f"{head}/att_pre")
-        if cfg.attention_to_maxpool:
-            parts["att_enc"] = ctrl_a
-        else:
-            parts["att_enc"] = attentive_pool(enc_feats, ctrl_b,
-                                              self.store[f"{head}/att_enc"])
+        parts["att_enc"] = _memo_rows(memo, ("att_enc", head), scopes,
+                                      enc_pool)
         parts["max_enc"] = ctrl_a
         parts["max_pre"] = ad.segment_max(feats_pre, pre_lengths)
         if "att_ast" in slots:
@@ -411,11 +465,11 @@ class Model:
         return ad.concat([parts[s] for s in slots], axis=1)
 
     def _head_logits(self, states, enc_feats, enc_controller, head, width,
-                     rng):
+                     rng, memo):
         """(len(states), width) logits of one head: the rules, then one
         copy target per slot (zeros outside the copy head)."""
         cfg = self.config
-        agg = self.aggregate(states, enc_feats, enc_controller, head)
+        agg = self.aggregate(states, enc_feats, enc_controller, head, memo)
         x = ad.dropout(agg, cfg.dropout, rng)
         h = ad.relu(ad.add(ad.matmul(x, self.store[f"{head}/mlp_w1"],
                                      transpose_b=True),
@@ -437,7 +491,8 @@ class Model:
             copy = ad.Tensor(np.zeros((len(states), copies), dtype=self.dtype))
         return ad.concat([logits, copy], axis=1)
 
-    def predict(self, states, enc_feats, enc_controller, rng=None):
+    def predict(self, states, enc_feats, enc_controller, rng=None,
+                memo=None):
         """Masked log-probabilities over rules (+ copy targets for the
         variable head); entries invalid for the frontier are -inf.
 
@@ -449,8 +504,15 @@ class Model:
         a generator (a training pass), dropout masks are drawn from it
         group by group: the aggregate mask for all states of a group (one
         row per state, in the given order), then its hidden-layer mask.
+
+        ``memo`` is a dict that one decode passes to each of its calls,
+        with these encoder features (see ``aggregate``). Its rows carry no
+        graph, so a call that records one takes none.
         """
         cfg = self.config
+        if memo is not None and ad._recording:
+            raise ValueError("a decode memo holds no graph: pass it only "
+                             "inside autodiff.no_graph()")
         single = isinstance(states, DecoderState)
         batch = [states] if single else list(states)
         frontiers = [s.partial_ast.frontier for s in batch]
@@ -478,7 +540,7 @@ class Model:
             if rows:
                 blocks.append(self._head_logits(
                     [batch[t] for t in rows], enc_feats, enc_controller,
-                    head, width, rng))
+                    head, width, rng, memo))
                 order += rows
         logits = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=0)
         if order != sorted(order):

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .ast_tree import encode_to_rules, token_yield
 from .config import RunConfig
 from .data import Example
-from .decode import beam_search
+from .decode import FAILURE_CAUSES, beam_search
 from .grammar import Grammar, MissingRuleError
 from .metrics import bleu, string_accuracy
 from .model import Model, advance, initial_state, vocabs_from_examples
@@ -42,21 +42,22 @@ def example_loss(model: Model, example: Example, targets, rng=None):
     return ad.scale(ad.sum_all(ad.pick(logp, targets)), -1.0)
 
 
-def decode_yield(model: Model, example: Example):
-    """Top-hypothesis token yield, or None on decode failure."""
-    result = beam_search(model, example.description, example.slots)
-    if result.failed:
-        return None
-    return token_yield(result.hypotheses[0].ast)
-
-
 def evaluate(model: Model, examples, bypass_gold=False) -> dict:
-    """Decode every example and score StrAcc / corpus BLEU."""
+    """Decode every example and score StrAcc / corpus BLEU; decode
+    failures count as mismatches, and ``failures`` counts them by cause."""
     records = []
     preds, golds = [], []
+    failures = dict.fromkeys(FAILURE_CAUSES, 0)
     for ex in examples:
         gold = token_yield(ex.ast)
-        pred = gold if bypass_gold else decode_yield(model, ex)
+        pred = gold
+        if not bypass_gold:
+            result = beam_search(model, ex.description, ex.slots)
+            if result.failed:
+                pred = None
+                failures[result.cause] += 1
+            else:
+                pred = token_yield(result.hypotheses[0].ast)
         preds.append(pred)
         golds.append(gold)
         records.append({
@@ -69,6 +70,7 @@ def evaluate(model: Model, examples, bypass_gold=False) -> dict:
     return {
         "str_acc": string_accuracy(preds, golds),
         "bleu": bleu(preds, golds),
+        "failures": failures,
         "examples": records,
     }
 

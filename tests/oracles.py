@@ -14,6 +14,12 @@ The package runs a whole shortcut-CNN stack as one node
 (``conv_stack``). ``window_conv`` here is one layer of it as its own
 node, so a chain of them on the tape is the reference for the stack's
 forward values and gradients.
+
+``beam_search`` computes the features that recur within one decode once
+(the memo ``Model.predict`` takes) and advances only the candidates it
+keeps. ``serial_beam_search`` here is the search without either: one
+memo-free ``predict`` per expansion, and every candidate advanced before
+the beam is cut.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from rulegen.autodiff import (
     Tensor,
     _check_finite,
     _check_segments,
+    no_graph,
     window_offsets,
 )
 from rulegen.grammar import (
@@ -36,6 +43,7 @@ from rulegen.grammar import (
     Symbol,
     TERMINAL,
 )
+from rulegen.model import DeadEndError, advance, initial_state
 
 VISIT = "visit"
 BACKTRACK = "backtrack"
@@ -266,3 +274,48 @@ def window_conv(x: Tensor, w: Tensor, k: int, lengths=None,
 
     parents = (x, w) if residual is None else (x, w, residual)
     return Tensor(out, parents=parents, backward_fn=bw)
+
+
+@dataclass(frozen=True)
+class SerialHypothesis:
+    state: object          # a rulegen DecoderState
+    log_prob: float
+    step_log_probs: tuple = ()
+
+    @property
+    def complete(self) -> bool:
+        return self.state.partial_ast.complete
+
+
+@no_graph()
+def serial_beam_search(model, description, slots, beam_size):
+    """The complete hypotheses of a beam search, best first: the search
+    without a memo, with every candidate advanced before the cut."""
+    grammar = model.grammar
+    enc_feats, ctrl = model.encode(description)
+    beam = [SerialHypothesis(initial_state(grammar, slots), 0.0)]
+    key = lambda h: (-h.log_prob, h.state.rule_trace)
+    for _ in range(model.config.max_decode_steps):
+        if all(h.complete for h in beam):
+            break
+        candidates = []
+        for h in beam:
+            if h.complete:
+                candidates.append(h)
+                continue
+            try:
+                lp = model.predict(h.state, enc_feats, ctrl).data
+            except DeadEndError:
+                continue
+            for idx in np.argsort(-lp, kind="stable")[:beam_size]:
+                if not np.isfinite(lp[idx]):
+                    break
+                step = float(lp[idx])
+                candidates.append(SerialHypothesis(
+                    advance(h.state, int(idx), grammar), h.log_prob + step,
+                    h.step_log_probs + (step,)))
+        if not candidates:
+            break
+        candidates.sort(key=key)
+        beam = candidates[:beam_size]
+    return sorted((h for h in beam if h.complete), key=key)

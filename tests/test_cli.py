@@ -19,7 +19,13 @@ from rulegen import cli
 from rulegen.cli import main
 from rulegen.config import RunConfig
 from rulegen.decode import DecodeResult, Hypothesis
-from rulegen.grammar import grammar_to_json
+from rulegen.grammar import (
+    NONTERMINAL,
+    Grammar,
+    GrammarRule,
+    Symbol,
+    grammar_to_json,
+)
 from rulegen.model import Model, advance, initial_state
 
 
@@ -516,6 +522,67 @@ def test_generate_past_the_recursion_limit_is_a_decode_failure(
                          "--grammar", grammar, "--input", "x", "--beam", "1",
                          code=4)
     assert "decode failure" in stderr
+
+
+def decode_failure(capsys, tmp_path, grammar, config, *argv):
+    """``generate`` with a seeded model of ``config`` over ``grammar``;
+    it must end in a decode failure. Returns its error line."""
+    model = Model(grammar, config, ["<pad>", "<unk>"], ["x"], [], seed=0)
+    model.store["structural/mlp_b2"].data[0] = 100.0
+    model.save(tmp_path / "checkpoint.bin")
+    (tmp_path / "grammar.json").write_text(grammar_to_json(grammar))
+    code, stdout, stderr = run(
+        capsys, "generate", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+        "--grammar", str(tmp_path / "grammar.json"), "--input", "x", *argv)
+    assert code == 4
+    assert stdout == ""
+    return stderr.strip()
+
+
+def test_generate_names_a_spent_step_budget(chain_grammar, tmp_path, capsys):
+    """Beam 1 follows ``A -> A`` until the budget runs out."""
+    config = RunConfig(dim=8, layers=1, mlp_hidden=8, max_decode_steps=5,
+                       beam_size=1)
+    assert decode_failure(capsys, tmp_path, chain_grammar, config) == (
+        "error: decode failure: no complete hypothesis (the step budget of "
+        "5 ran out)")
+
+
+def test_generate_names_a_dead_end(tmp_path, capsys):
+    """``S -> X`` with no rule for ``X``: every hypothesis dies there."""
+    s, x = Symbol("S", NONTERMINAL), Symbol("X", NONTERMINAL)
+    grammar = Grammar([GrammarRule(0, s, (x,))], {"S": s, "X": x},
+                      start_symbol=s)
+    config = RunConfig(dim=8, layers=1, mlp_hidden=8, max_decode_steps=5)
+    assert decode_failure(capsys, tmp_path, grammar, config,
+                          "--beam", "2") == (
+        "error: decode failure: no complete hypothesis (every hypothesis "
+        "reached a dead end)")
+
+
+def test_evaluate_report_counts_failures_by_cause(chain_grammar, tmp_path,
+                                                  capsys):
+    """At beam 1, a model that always picks ``A -> A`` spends every
+    budget."""
+    model = Model(chain_grammar, RunConfig(dim=8, layers=1, mlp_hidden=8,
+                                           max_decode_steps=5, beam_size=1),
+                  ["<pad>", "<unk>"], ["x"], [], seed=0)
+    model.store["structural/mlp_b2"].data[0] = 100.0
+    model.save(tmp_path / "checkpoint.bin")
+    (tmp_path / "grammar.json").write_text(grammar_to_json(chain_grammar))
+    record = {"id": "c", "description": "x", "slots": [],
+              "ast": {"symbol": "A", "children": [{"symbol": "A", "children": [
+                  {"symbol": "tok", "terminal": "x"}]}]}}
+    (tmp_path / "data.jsonl").write_text(json.dumps(record) + "\n")
+    code, stdout, _ = run(capsys, "evaluate",
+                          "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                          "--grammar", str(tmp_path / "grammar.json"),
+                          "--data", str(tmp_path / "data.jsonl"),
+                          "--report", str(tmp_path / "report.json"))
+    assert code == 0
+    assert "str_acc 0.0000" in stdout
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["failures"] == {"step_budget": 1, "dead_end": 0}
 
 
 def test_generate_show_ast_too_deep_for_json_exits_3(chain_grammar, tmp_path,

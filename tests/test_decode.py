@@ -4,7 +4,8 @@ import pytest
 from rulegen import autodiff as ad
 from rulegen.ast_tree import encode_to_rules, token_yield
 from rulegen.config import RunConfig
-from rulegen.decode import beam_search
+from rulegen.decode import DEAD_END, STEP_BUDGET, beam_search
+from rulegen.grammar import NONTERMINAL, Grammar, GrammarRule, Symbol
 from rulegen.model import (
     DeadEndError,
     Model,
@@ -143,6 +144,41 @@ def test_failure_reported_when_nothing_completes(six_examples,
     result = beam_search(model, "init v a", [("arg", "a")])
     assert result.failed
     assert result.hypotheses == []
+
+
+def test_spent_step_budget_is_the_failure_cause(six_examples,
+                                               fixture_grammar):
+    """No derivation of the fixture grammar fits in one step; the same
+    decode with a budget of 60 completes and has no cause."""
+    short = random_model(six_examples, fixture_grammar, 0, max_steps=1)
+    result = beam_search(short, "init v a", [("arg", "a")])
+    assert result.failed
+    assert result.cause == STEP_BUDGET
+    model = random_model(six_examples, fixture_grammar, 0)
+    result = beam_search(model, "init v a", [("arg", "a")])
+    assert not result.failed
+    assert result.cause is None
+
+
+def dead_end_grammar():
+    """``S -> X``, and no rule for the variable-class ``X``."""
+    s = Symbol("S", NONTERMINAL)
+    x = Symbol("X", NONTERMINAL, "variable")
+    return Grammar([GrammarRule(0, s, (x,))], {"S": s, "X": x},
+                   start_symbol=s)
+
+
+def test_dead_end_is_the_failure_cause():
+    """Every hypothesis reaches ``X``, which has no rule and, with no
+    slots, no copy target: the beam empties before the budget runs out."""
+    cfg = RunConfig(dim=4, layers=2, mlp_hidden=4, max_decode_steps=50)
+    model = Model(dead_end_grammar(), cfg, ["<pad>", "<unk>"], [], ["arg"],
+                  seed=0)
+    result = beam_search(model, "x", beam_size=3)
+    assert result.failed
+    assert result.cause == DEAD_END
+    # a slot to copy gets X past the dead end
+    assert not beam_search(model, "x", [("arg", "v")]).failed
 
 
 def test_step_log_probs_sum_to_each_hypothesis_score(six_examples,

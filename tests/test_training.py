@@ -6,7 +6,14 @@ import pytest
 from rulegen.ast_tree import encode_to_rules, token_yield
 from rulegen.config import RunConfig
 from rulegen.data import synth_corpus
-from rulegen.grammar import MissingRuleError, induce_grammar
+from rulegen.grammar import (
+    NONTERMINAL,
+    Grammar,
+    GrammarRule,
+    MissingRuleError,
+    Symbol,
+    induce_grammar,
+)
 from rulegen.model import Model, vocabs_from_examples
 from rulegen.training import (
     evaluate,
@@ -120,6 +127,25 @@ def test_evaluate_bypass_gold(tiny):
     assert len(report["examples"]) == len(exs)
     for rec in report["examples"]:
         assert rec["match"] is True
+
+
+def test_evaluate_counts_failures_by_cause(tiny):
+    """A budget of one step is spent on every example; over ``S -> X``
+    with no rule for ``X``, every decode dies at a dead end."""
+    exs, g = tiny
+    vocabs = vocabs_from_examples(exs)
+    cfg = RunConfig(dim=8, layers=2, mlp_hidden=8, seed=0, max_decode_steps=1)
+    report = evaluate(Model(g, cfg, *vocabs, seed=0), exs)
+    assert report["failures"] == {"step_budget": len(exs), "dead_end": 0}
+    assert report["str_acc"] == 0.0
+    report = evaluate(Model(g, cfg, *vocabs, seed=0), exs, bypass_gold=True)
+    assert report["failures"] == {"step_budget": 0, "dead_end": 0}
+    s, x = Symbol("S", NONTERMINAL), Symbol("X", NONTERMINAL)
+    dead = Grammar([GrammarRule(0, s, (x,))], {"S": s, "X": x},
+                   start_symbol=s)
+    cfg = RunConfig(dim=8, layers=2, mlp_hidden=8, seed=0)
+    report = evaluate(Model(dead, cfg, *vocabs, seed=0), exs)
+    assert report["failures"] == {"step_budget": 0, "dead_end": len(exs)}
 
 
 def test_metrics_recomputable_from_records(tiny):
