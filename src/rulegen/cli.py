@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -50,12 +51,23 @@ def _read_text(path):
         raise CliError(str(e), EXIT_VALIDATION)
 
 
-def _write_text(path, text):
+@contextlib.contextmanager
+def _writing(path):
+    """A failure to write inside the block exits 3, naming ``path``."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        yield
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO)
+
+
+def _write_text(path, text):
+    with _writing(path), open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _write_dataset(examples, path):
+    with _writing(path):
+        save_dataset(examples, path)
 
 
 def _load_grammar(path):
@@ -134,6 +146,10 @@ def cmd_generate(args):
     grammar = _load_grammar(args.grammar)
     model = _load_model(args, grammar)
     if os.path.exists(args.input):
+        if args.slot:
+            raise CliError(f"--slot is for text input only; the record in "
+                           f"{args.input} carries its own slots",
+                           EXIT_VALIDATION)
         lines = _read_text(args.input).strip().splitlines()
         if not lines:
             raise CliError(f"input file {args.input} is empty",
@@ -198,12 +214,12 @@ def cmd_synth_data(args):
         raise CliError(f"cannot create {args.out}: {e}", EXIT_IO)
     examples = synth_corpus(num_ops=args.grammar_size, max_depth=args.depth,
                             count=args.count, seed=args.seed)
-    save_dataset(examples, os.path.join(args.out, "train.jsonl"))
+    _write_dataset(examples, os.path.join(args.out, "train.jsonl"))
     if args.test_count:
         test = synth_corpus(num_ops=args.grammar_size, max_depth=args.depth,
                             count=args.test_count, seed=args.seed + 1,
                             value_prefix="tval")
-        save_dataset(test, os.path.join(args.out, "test.jsonl"))
+        _write_dataset(test, os.path.join(args.out, "test.jsonl"))
     if examples:
         grammar = induce_grammar([ex.ast for ex in examples])
         _write_text(os.path.join(args.out, "grammar.json"),

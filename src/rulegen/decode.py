@@ -51,23 +51,21 @@ class DecodeResult:
         return not self.hypotheses
 
 
-def _sort_key(h: Hypothesis):
-    return (-h.log_prob, h.state.rule_trace)
-
-
 @ad.no_graph()
 def beam_search(model: Model, description: str, slots=(),
                 beam_size=None) -> DecodeResult:
     """Decode ``description`` with ``beam_size`` hypotheses (the config's
     beam size when None) within the config's step budget. Nothing is
-    backpropagated, so no forward records a graph, and the features that
-    recur across the decode's predictions are computed once (``memo``;
-    see ``Model.aggregate``).
+    backpropagated, so no forward records a graph, and the tree-path and
+    encoder pools that recur across the decode's predictions are computed
+    once (``memo``; see ``Model.aggregate``).
 
     A candidate is ``(log_prob, rule_trace, parent, target, step)``: the
     parent hypothesis extended by ``target`` at log-prob ``step``, or a
     complete parent carried over (target None). Candidates rank by
-    ``(-log_prob, rule_trace)``, and only the kept ones are advanced.
+    ``(-log_prob, rule_trace)``, and only the kept ones are advanced. The
+    beam is always a prefix of ranked candidates, so its complete
+    hypotheses come out best first with no further sort.
     """
     cfg = model.config
     if beam_size is None:
@@ -108,5 +106,5 @@ def beam_search(model: Model, description: str, slots=(),
                 for log_prob, _, parent, target, step
                 in candidates[:beam_size]]
 
-    complete = sorted((h for h in beam if h.complete), key=_sort_key)
+    complete = [h for h in beam if h.complete]
     return DecodeResult(complete, None if complete else cause)

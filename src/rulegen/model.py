@@ -116,24 +116,14 @@ def attentive_pool(candidates, controller, weight, lengths=None):
     return ad.matmul(ad.softmax(logits, mask), candidates)
 
 
-def _memo_rows(memo, name, keys, compute):
-    """``compute(keys)``, one row per key. Given a memo, the rows are read
-    from it under ``name``, and one ``compute`` call gives the rows of the
-    distinct keys it lacks. The memo keeps each row as a (1, d) tensor,
-    handed out as it is to a call with one key."""
+def _memoized(memo, key, compute):
+    """``compute()``, or, given a memo, the value stored under ``key``,
+    computed and stored the first time."""
     if memo is None:
-        return compute(keys)
-    if len(keys) == 1:
-        key = (name, keys[0])
-        if key not in memo:
-            memo[key] = compute(keys)
-        return memo[key]
-    missing = [k for k in dict.fromkeys(keys) if (name, k) not in memo]
-    if missing:
-        rows = compute(missing).data
-        for i, k in enumerate(missing):
-            memo[name, k] = ad.Tensor(rows[i:i + 1])
-    return ad.Tensor(np.concatenate([memo[name, k].data for k in keys]))
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def grammar_hash(grammar: Grammar) -> str:
@@ -411,36 +401,16 @@ class Model:
         """Pooled features in AGGREGATE_ORDER, one row per state.
 
         With the weights and the encoder features fixed, the tree-path
-        pool is a function of the head and the path's symbols, controller
-        B of the scope row, and the encoder pool of the head and the scope
-        row. Given a ``memo`` dict that lives for one decode, those rows
-        come from it; the distinct keys it lacks are computed in one
-        packed pass and stored.
+        pool is a function of the head and the paths' symbols, and the
+        encoder pool of the head and the scope rows. Given a ``memo``
+        dict that lives for one decode, each is computed once per key,
+        the call's tuple of per-state keys, and then read from it.
         """
         cfg = self.config
-        n = len(states)
         # controller A is the encoder max-pool, and so also max(encoder)
-        ctrl_a = ad.gather_rows(enc_controller, [0] * n)
-
-        # A pass over m == n keys covers every state in order, and shares
-        # the controllers of the full pass.
-        def ctrl_a_rows(m):
-            return ctrl_a if m == n else ad.gather_rows(enc_controller,
-                                                        [0] * m)
-
-        def path_pool(paths):
-            return self._pool(*self.path_features(paths, head),
-                              ctrl_a_rows(len(paths)), f"{head}/att_path")
-
-        def enc_pool(rows):
-            if cfg.attention_to_maxpool:
-                return ctrl_a_rows(len(rows))
-            ctrl = ctrl_b if len(rows) == n else self._scope_controller(rows)
-            return attentive_pool(enc_feats, ctrl,
-                                  self.store[f"{head}/att_enc"])
-
+        ctrl_a = ad.gather_rows(enc_controller, [0] * len(states))
         scopes = self._scope_rows(states)
-        ctrl_b = _memo_rows(memo, "ctrl_b", scopes, self._scope_controller)
+        ctrl_b = self._scope_controller(scopes)
         y_ast, node_lengths, units = self.ast_features(states, head)
         feats_pre, pre_lengths = self.preorder_features(y_ast, node_lengths,
                                                         units, head)
@@ -450,13 +420,20 @@ class Model:
             parts["att_rule"] = self._pool(*self.rule_features(states, head),
                                            ctrl_a, f"{head}/att_rule")
         if "att_path" in slots:
-            parts["att_path"] = _memo_rows(
-                memo, ("att_path", head),
-                [self.path_symbols(s) for s in states], path_pool)
+            paths = [self.path_symbols(s) for s in states]
+            parts["att_path"] = _memoized(
+                memo, ("att_path", head, *paths),
+                lambda: self._pool(*self.path_features(paths, head), ctrl_a,
+                                   f"{head}/att_path"))
         parts["att_pre"] = self._pool(feats_pre, pre_lengths, ctrl_b,
                                       f"{head}/att_pre")
-        parts["att_enc"] = _memo_rows(memo, ("att_enc", head), scopes,
-                                      enc_pool)
+        if cfg.attention_to_maxpool:
+            parts["att_enc"] = ctrl_a
+        else:
+            parts["att_enc"] = _memoized(
+                memo, ("att_enc", head, *scopes),
+                lambda: attentive_pool(enc_feats, ctrl_b,
+                                       self.store[f"{head}/att_enc"]))
         parts["max_enc"] = ctrl_a
         parts["max_pre"] = ad.segment_max(feats_pre, pre_lengths)
         if "att_ast" in slots:
@@ -506,8 +483,10 @@ class Model:
         row per state, in the given order), then its hidden-layer mask.
 
         ``memo`` is a dict that one decode passes to each of its calls,
-        with these encoder features (see ``aggregate``). Its rows carry no
-        graph, so a call that records one takes none.
+        with these encoder features: it keeps the tree-path and encoder
+        pools under each call's tuple of per-state keys (see
+        ``aggregate``). Its rows carry no graph, so a call that records
+        one takes none.
         """
         cfg = self.config
         if memo is not None and ad._recording:

@@ -74,6 +74,16 @@ def test_synth_data_count_zero(tmp_path, capsys):
     assert (tmp_path / "z" / "train.jsonl").exists()
 
 
+@pytest.mark.parametrize("name", ["train.jsonl", "test.jsonl"])
+def test_synth_data_that_cannot_write_a_dataset_exits_3(tmp_path, name):
+    out = tmp_path / "d"
+    (out / name).mkdir(parents=True)
+    stderr = cli_rejects("synth-data", "--count", "3", "--test-count", "2",
+                         "--out", out, code=3)
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(f"error: cannot write {out / name}: ")
+
+
 def test_extract_grammar_output(workdir, tmp_path, capsys):
     out = tmp_path / "g.json"
     code, stdout, _ = run(capsys, "extract-grammar",
@@ -718,6 +728,18 @@ def test_generate_from_record_with_ast_dump(workdir, tmp_path, capsys):
     assert "ast" in doc and "rule_trace" in doc
     assert len(doc["step_log_probs"]) == len(doc["rule_trace"])
     assert doc["log_prob"] == pytest.approx(sum(doc["step_log_probs"]))
+
+
+def test_generate_rejects_a_slot_with_a_file_input(workdir, tmp_path):
+    rec_path = tmp_path / "one.jsonl"
+    rec_path.write_text(
+        (workdir / "data" / "train.jsonl").read_text().splitlines()[0] + "\n")
+    stderr = cli_rejects("generate",
+                         "--checkpoint", workdir / "run" / "checkpoint.bin",
+                         "--grammar", workdir / "data" / "grammar.json",
+                         "--input", rec_path, "--slot", "n=v")
+    assert len(stderr.splitlines()) == 1
+    assert "--slot is for text input only" in stderr
 
 
 def test_generate_beam1_matches_greedy_yield(workdir, capsys):

@@ -1,6 +1,8 @@
 """Beam search's per-decode memo (``Model.predict(..., memo=...)``)
 against the memo-free serial search of ``oracles``, and the reach of the
-memo: computed once per distinct key, and never in a recording pass."""
+memo: computed once per key (a call's tuple of per-state keys, so once
+per distinct path or scope in beam search's one-state calls), and never
+in a recording pass."""
 import numpy as np
 import pytest
 
@@ -113,9 +115,9 @@ def test_no_recording_pass_reaches_the_memo(six_examples, fixture_grammar,
 @pytest.mark.parametrize("overrides", VARIANTS, ids=IDS)
 def test_list_call_with_a_memo_gives_the_memo_free_rows(
         six_examples, fixture_grammar, overrides, monkeypatch):
-    """A list call computes only the distinct keys its memo lacks, in one
-    packed pass: each state's gold steps repeat scopes and paths, so the
-    missing keys are fewer than the states and in another order."""
+    """A list call keys the memo by its tuple of per-state keys: its rows
+    are those of the memo-free call, and repeating the identical call
+    computes no path again."""
     model = fixture_model(six_examples, fixture_grammar, **overrides)
     computed = []
     path_features = Model.path_features
@@ -139,11 +141,12 @@ def test_list_call_with_a_memo_gives_the_memo_free_rows(
         memo = {}
         first = model.predict(states[:3], enc, ctrl, memo=memo).data
         again = model.predict(states, enc, ctrl, memo=memo).data
-    assert len(computed) == len(set(computed))
-    if not model.config.no_treepath_cnn:
-        assert len(set(computed)) == len({model.path_symbols(s)
-                                          for s in states})
-    for got, want in ((first, expected[:3]), (again, expected)):
+        assert bool(computed) == (not model.config.no_treepath_cnn)
+        computed.clear()
+        repeated = model.predict(states, enc, ctrl, memo=memo).data
+    assert computed == []
+    for got, want in ((first, expected[:3]), (again, expected),
+                      (repeated, expected)):
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)
         np.testing.assert_allclose(got[finite], want[finite], rtol=0,
